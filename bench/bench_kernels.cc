@@ -1,12 +1,16 @@
 /// Extension bench: the interned-id kernel layer versus the string
 /// kernels it replaces.
 ///
-/// Three sections, written to BENCH_kernels.json:
+/// Four sections, written to BENCH_kernels.json:
 ///   * per-kernel microbenchmarks over real candidate pairs — the string
 ///     path re-derives sorted/weighted token structures per call (as the
 ///     pre-interning evaluator did), the id path reads the prebuilt
 ///     per-record arrays that PairContext now caches;
 ///   * scalar vs bit-parallel (Myers) Levenshtein at 32..256 chars;
+///   * the character kernels (Jaro, Jaro-Winkler, Smith-Waterman,
+///     Needleman-Wunsch) against their *Scalar oracles at 8..256 chars
+///     (Jaro up to 64: a longer b runs the oracle itself), with a flag
+///     telling whether every result agreed bit for bit;
 ///   * end-to-end MemoMatcher wall clock with interning off vs on, for two
 ///     Table 2 dataset profiles (context construction + matching, so the
 ///     id path pays its own build cost), each with an estimated per-stage
@@ -16,14 +20,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/core/memo.h"
 #include "src/core/memo_matcher.h"
+#include "src/text/alignment.h"
 #include "src/text/cosine.h"
 #include "src/text/id_kernels.h"
+#include "src/text/jaro.h"
 #include "src/text/levenshtein.h"
 #include "src/text/monge_elkan.h"
 #include "src/text/set_similarity.h"
@@ -49,6 +57,18 @@ struct LevPoint {
   double scalar_ns = 0.0;  // per pair
   double myers_ns = 0.0;
   double speedup = 0.0;
+};
+
+/// One character kernel at one string length: the production kernel
+/// against its scalar oracle, and whether all their results agreed bit for
+/// bit.
+struct CharKernelPoint {
+  std::string name;
+  size_t length = 0;
+  double scalar_ns = 0.0;  // per pair
+  double production_ns = 0.0;
+  double speedup = 0.0;
+  bool identical = false;
 };
 
 /// Estimated per-stage wall-time decomposition of one end-to-end run:
@@ -237,25 +257,32 @@ std::vector<KernelPoint> BenchKernels(const BenchEnv& env, size_t reps,
   return points;
 }
 
+using StringPairs = std::vector<std::pair<std::string, std::string>>;
+
+// 256 pairs of `len`-char strings over 8 letters; each position of b
+// copies a's half the time, so the workload is not all-mismatch.
+StringPairs RandomStringPairs(Rng& rng, size_t len) {
+  const char* alphabet = "abcdefgh";
+  StringPairs pairs;
+  for (int i = 0; i < 256; ++i) {
+    std::string a;
+    std::string b;
+    for (size_t k = 0; k < len; ++k) {
+      a.push_back(alphabet[rng.Uniform(8)]);
+      b.push_back(rng.Uniform(2) != 0u ? a.back()
+                                       : alphabet[rng.Uniform(8)]);
+    }
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  return pairs;
+}
+
 std::vector<LevPoint> BenchLevenshtein(size_t reps) {
   std::vector<LevPoint> points;
   Rng rng(99);
-  const char* alphabet = "abcdefgh";
   for (const size_t len : {size_t{32}, size_t{64}, size_t{128},
                            size_t{256}}) {
-    // 256 pairs per length; strings share a common prefix half the time
-    // so the workload is not all-mismatch.
-    std::vector<std::pair<std::string, std::string>> pairs;
-    for (int i = 0; i < 256; ++i) {
-      std::string a;
-      std::string b;
-      for (size_t k = 0; k < len; ++k) {
-        a.push_back(alphabet[rng.Uniform(8)]);
-        b.push_back(rng.Uniform(2) != 0u ? a.back()
-                                         : alphabet[rng.Uniform(8)]);
-      }
-      pairs.emplace_back(std::move(a), std::move(b));
-    }
+    const StringPairs pairs = RandomStringPairs(rng, len);
     auto time_ns = [&](auto fn) {
       double best_ms = 1e300;
       size_t sink = 0;
@@ -280,6 +307,69 @@ std::vector<LevPoint> BenchLevenshtein(size_t reps) {
         "levenshtein %3zu chars: scalar %9.1f ns   myers %8.1f ns   "
         "%5.2fx\n",
         len, scalar, myers, scalar / myers);
+  }
+  return points;
+}
+
+std::vector<CharKernelPoint> BenchCharKernels(size_t reps) {
+  using Kernel = double (*)(std::string_view, std::string_view);
+  struct Entry {
+    const char* name;
+    Kernel scalar;
+    Kernel production;
+    size_t max_length;  // Jaro's bit-parallel search covers |b| <= 64
+  };
+  const Entry entries[] = {
+      {"jaro", JaroSimilarityScalar, JaroSimilarity, 64},
+      {"jaro_winkler", JaroWinklerSimilarityScalar, JaroWinklerSimilarity,
+       64},
+      {"smith_waterman", SmithWatermanSimilarityScalar,
+       SmithWatermanSimilarity, 256},
+      {"needleman_wunsch", NeedlemanWunschSimilarityScalar,
+       NeedlemanWunschSimilarity, 256},
+  };
+  std::vector<CharKernelPoint> points;
+  Rng rng(77);
+  for (const size_t len : {size_t{8}, size_t{32}, size_t{64}, size_t{128},
+                           size_t{256}}) {
+    const StringPairs pairs = RandomStringPairs(rng, len);
+    for (const Entry& e : entries) {
+      if (len > e.max_length) continue;
+      // The two kernels' reps alternate, so a slow phase of the host
+      // falls on both sides alike; each keeps its best rep.
+      double best_ms[2] = {1e300, 1e300};
+      double sink = 0.0;
+      for (size_t rep = 0; rep < reps; ++rep) {
+        for (int side = 0; side < 2; ++side) {
+          const Kernel fn = side == 0 ? e.scalar : e.production;
+          Stopwatch timer;
+          for (const auto& [a, b] : pairs) sink += fn(a, b);
+          best_ms[side] = std::min(best_ms[side], timer.ElapsedMillis());
+        }
+      }
+      if (sink == -1.0) std::printf("impossible\n");
+      CharKernelPoint p;
+      p.name = e.name;
+      p.length = len;
+      p.scalar_ns = best_ms[0] * 1e6 / static_cast<double>(pairs.size());
+      p.production_ns = best_ms[1] * 1e6 / static_cast<double>(pairs.size());
+      p.speedup = p.scalar_ns / p.production_ns;
+      p.identical = true;
+      for (const auto& [a, b] : pairs) {
+        for (int order = 0; order < 2; ++order) {
+          const double want = order == 0 ? e.scalar(a, b) : e.scalar(b, a);
+          const double got =
+              order == 0 ? e.production(a, b) : e.production(b, a);
+          p.identical &= std::memcmp(&want, &got, sizeof(double)) == 0;
+        }
+      }
+      std::printf(
+          "%-16s %3zu chars: scalar %9.1f ns   production %8.1f ns   "
+          "%5.2fx   %s\n",
+          e.name, len, p.scalar_ns, p.production_ns, p.speedup,
+          p.identical ? "identical" : "DIFFERENT");
+      points.push_back(p);
+    }
   }
   return points;
 }
@@ -341,9 +431,26 @@ E2ePoint BenchEndToEnd(DatasetId dataset, const BenchOptions& opts) {
   return point;
 }
 
+/// Writes the machine and build lines of the JSON header (`nproc`,
+/// compiler, build type), each a member followed by a comma.
+/// EMDBG_BUILD_TYPE comes from bench/CMakeLists.txt.
+void WriteJsonProvenance(std::FILE* f) {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"compiler\": \"%s\",\n", compiler);
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", EMDBG_BUILD_TYPE);
+}
+
 void WriteJson(const BenchOptions& opts,
                const std::vector<KernelPoint>& kernels,
                const std::vector<LevPoint>& lev,
+               const std::vector<CharKernelPoint>& chars,
                const std::vector<E2ePoint>& e2e, const char* path) {
   const std::string tmp = std::string(path) + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
@@ -353,6 +460,7 @@ void WriteJson(const BenchOptions& opts,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"kernels\",\n");
+  WriteJsonProvenance(f);
   std::fprintf(f, "  \"scale\": %g,\n", opts.scale);
   std::fprintf(f, "  \"reps\": %zu,\n", opts.reps);
   std::fprintf(f, "  \"kernels\": [\n");
@@ -373,6 +481,18 @@ void WriteJson(const BenchOptions& opts,
                  "\"myers_ns\": %.1f, \"speedup\": %.2f}%s\n",
                  p.length, p.scalar_ns, p.myers_ns, p.speedup,
                  i + 1 == lev.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"char_kernels\": [\n");
+  for (size_t i = 0; i < chars.size(); ++i) {
+    const CharKernelPoint& p = chars[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"length\": %zu, "
+                 "\"scalar_ns\": %.1f, \"production_ns\": %.1f, "
+                 "\"speedup\": %.2f, \"identical\": %s}%s\n",
+                 p.name.c_str(), p.length, p.scalar_ns, p.production_ns,
+                 p.speedup, p.identical ? "true" : "false",
+                 i + 1 == chars.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"end_to_end\": [\n");
@@ -414,11 +534,12 @@ void Run(const BenchOptions& opts) {
   const std::vector<KernelPoint> kernels =
       BenchKernels(env, opts.reps + 1, pairs);
   const std::vector<LevPoint> lev = BenchLevenshtein(opts.reps + 1);
+  const std::vector<CharKernelPoint> chars = BenchCharKernels(opts.reps + 1);
   std::vector<E2ePoint> e2e;
   e2e.push_back(BenchEndToEnd(DatasetId::kProducts, opts));
   e2e.push_back(BenchEndToEnd(DatasetId::kBooks, opts));
 
-  WriteJson(opts, kernels, lev, e2e, "BENCH_kernels.json");
+  WriteJson(opts, kernels, lev, chars, e2e, "BENCH_kernels.json");
   std::printf("wrote BENCH_kernels.json\n");
 }
 

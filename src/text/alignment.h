@@ -6,31 +6,34 @@
 namespace emdbg {
 
 /// Sequence-alignment similarities, normalized to [0, 1].
-
-/// Parameters for the alignment scorers. Scores are per character:
-/// `match` for equal characters (case-insensitive ASCII), `mismatch` for
-/// substitutions, `gap_open`/`gap_extend` for affine gaps.
-struct AlignmentParams {
-  double match = 2.0;
-  double mismatch = -1.0;
-  double gap_open = -1.5;
-  double gap_extend = -0.5;
-};
+///
+/// Scores are per character and fixed: match +2 for equal characters
+/// (case-insensitive ASCII: only `A`-`Z` fold to `a`-`z`, independent of
+/// the process locale; bytes >= 0x80 compare as they are), mismatch -1 for
+/// substitutions, and affine gaps costing -1.5 to open and -0.5 per
+/// further character (Gotoh's three-state DP).
+///
+/// Every score the DP can reach is a multiple of 0.5, so the production
+/// DP runs in int32 half-units (match 4, mismatch -2, gap open -3, gap
+/// extend -1) and returns the same doubles as the `double` DP kept in the
+/// `*Scalar` oracles.
 
 /// Global alignment (Needleman-Wunsch with affine gaps), normalized by
-/// the best achievable score (match * min(|a|, |b|) plus the unavoidable
-/// gap cost of the length difference... we normalize by match * max-len so
-/// the score of identical strings is 1 and unrelated strings approach 0).
-/// Both-empty inputs score 1.0.
-double NeedlemanWunschSimilarity(std::string_view a, std::string_view b,
-                                 const AlignmentParams& params = {});
+/// match * max(|a|, |b|), so identical strings score 1 and unrelated strings
+/// approach 0. Both-empty inputs score 1.0; empty-vs-nonempty 0.
+double NeedlemanWunschSimilarity(std::string_view a, std::string_view b);
 
 /// Local alignment (Smith-Waterman with affine gaps), normalized by
 /// match * min(|a|, |b|) — 1.0 when the shorter string aligns perfectly
 /// inside the longer one (substring semantics, useful for model numbers
 /// embedded in titles). Both-empty inputs score 1.0; empty-vs-nonempty 0.
-double SmithWatermanSimilarity(std::string_view a, std::string_view b,
-                               const AlignmentParams& params = {});
+double SmithWatermanSimilarity(std::string_view a, std::string_view b);
+
+/// Reference `double` DPs (six heap rows, one cell at a time), kept as the
+/// differential-test oracles for the two functions above.
+double NeedlemanWunschSimilarityScalar(std::string_view a,
+                                       std::string_view b);
+double SmithWatermanSimilarityScalar(std::string_view a, std::string_view b);
 
 }  // namespace emdbg
 

@@ -1,16 +1,104 @@
 #include "src/text/jaro.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace emdbg {
 
+namespace {
+
+// Jaro-Winkler's standard parameters (Winkler 1990): the prefix boost
+// scales with the shared prefix up to kMaxPrefix characters.
+constexpr double kPrefixWeight = 0.1;
+constexpr size_t kMaxPrefix = 4;
+
+// Match window: characters at distance <= floor(max/2) - 1 count.
+size_t MatchWindow(size_t a_size, size_t b_size) {
+  const size_t max_len = std::max(a_size, b_size);
+  return max_len / 2 == 0 ? 0 : max_len / 2 - 1;
+}
+
+double JaroFromCounts(size_t matches, size_t transpositions, size_t a_size,
+                      size_t b_size) {
+  const double m = static_cast<double>(matches);
+  const double t = static_cast<double>(transpositions) / 2.0;
+  return (m / static_cast<double>(a_size) +
+          m / static_cast<double>(b_size) + (m - t) / m) /
+         3.0;
+}
+
+// jw = jaro + prefix * kPrefixWeight * (1 - jaro), prefix <= kMaxPrefix.
+double WinklerBoost(double jaro, std::string_view a, std::string_view b) {
+  size_t prefix = 0;
+  const size_t limit = std::min({a.size(), b.size(), kMaxPrefix});
+  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  return jaro + static_cast<double>(prefix) * kPrefixWeight * (1.0 - jaro);
+}
+
+// The bit-parallel search, for |b| <= 64: b's positions fit one word.
+// mask[c] holds bit j iff b[j] == c; only the entries of bytes that are
+// read (those of b and of the scanned prefix of a) are written, so the
+// table needs no clearing pass. `flagged` holds the b positions already
+// matched. For each a[i] in order, the lowest set bit of
+// mask[a[i]] & ~flagged & window(i) is the first free equal byte in the
+// window: the textbook loop's greedy choice.
+double JaroOneWord(std::string_view a, std::string_view b) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  const size_t window = MatchWindow(n, m);
+  // a[i] with i - window >= m has an empty window, as has every later one.
+  const size_t scan = std::min(n, m + window);
+
+  std::array<uint64_t, 256> mask;  // entries written before they are read
+  for (size_t i = 0; i < scan; ++i) mask[static_cast<unsigned char>(a[i])] = 0;
+  for (size_t j = 0; j < m; ++j) mask[static_cast<unsigned char>(b[j])] = 0;
+  for (size_t j = 0; j < m; ++j) {
+    mask[static_cast<unsigned char>(b[j])] |= uint64_t{1} << j;
+  }
+
+  std::array<char, 64> a_matched;  // matched bytes of a, in a's order
+  uint64_t flagged = 0;
+  size_t matches = 0;
+  for (size_t i = 0; i < scan; ++i) {
+    const size_t lo = i > window ? i - window : 0;  // lo < m <= 64
+    uint64_t candidates = mask[static_cast<unsigned char>(a[i])] &
+                          ~flagged & (~uint64_t{0} << lo);
+    const size_t hi = i + window + 1;
+    // Bits at or above m are never set in mask, so only hi < m needs the
+    // upper cut (and then the shift is below 64).
+    if (hi < m) candidates &= (uint64_t{1} << hi) - 1;
+    if (candidates != 0) {
+      flagged |= candidates & (~candidates + 1);
+      a_matched[matches++] = a[i];
+    }
+  }
+  if (matches == 0) return 0.0;
+
+  // Transpositions: the k-th matched byte of a against the k-th of b.
+  size_t transpositions = 0;
+  size_t k = 0;
+  for (uint64_t rest = flagged; rest != 0; rest &= rest - 1) {
+    const auto j = static_cast<size_t>(std::countr_zero(rest));
+    if (b[j] != a_matched[k++]) ++transpositions;
+  }
+  return JaroFromCounts(matches, transpositions, n, m);
+}
+
+}  // namespace
+
 double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  const size_t max_len = std::max(a.size(), b.size());
-  // Match window: characters at distance <= floor(max/2) - 1 count.
-  const size_t window = max_len / 2 == 0 ? 0 : max_len / 2 - 1;
+  return b.size() <= 64 ? JaroOneWord(a, b) : JaroSimilarityScalar(a, b);
+}
+
+double JaroSimilarityScalar(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const size_t window = MatchWindow(a.size(), b.size());
 
   std::vector<char> a_matched(a.size(), 0);
   std::vector<char> b_matched(b.size(), 0);
@@ -38,20 +126,15 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
     if (a[i] != b[j]) ++transpositions;
     ++j;
   }
-  const double m = static_cast<double>(matches);
-  const double t = static_cast<double>(transpositions) / 2.0;
-  return (m / static_cast<double>(a.size()) +
-          m / static_cast<double>(b.size()) + (m - t) / m) /
-         3.0;
+  return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
 
-double JaroWinklerSimilarity(std::string_view a, std::string_view b,
-                             double prefix_weight, size_t max_prefix) {
-  const double jaro = JaroSimilarity(a, b);
-  size_t prefix = 0;
-  const size_t limit = std::min({a.size(), b.size(), max_prefix});
-  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * prefix_weight * (1.0 - jaro);
+double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
+  return WinklerBoost(JaroSimilarity(a, b), a, b);
+}
+
+double JaroWinklerSimilarityScalar(std::string_view a, std::string_view b) {
+  return WinklerBoost(JaroSimilarityScalar(a, b), a, b);
 }
 
 }  // namespace emdbg

@@ -20,40 +20,35 @@ namespace emdbg {
 
 namespace {
 
-// Cost hints loosely follow the paper's Table 3 ordering (exact match
-// cheapest ... soft TF-IDF most expensive).
 constexpr std::array<SimFunctionInfo, kNumSimFunctions> kInfos = {{
     {SimFunction::kExactMatch, "exact_match", "Exact Match", TokenNeed::kNone,
-     false, false, 1.0},
-    {SimFunction::kJaro, "jaro", "Jaro", TokenNeed::kNone, false, false, 2.5},
+     false, false},
+    {SimFunction::kJaro, "jaro", "Jaro", TokenNeed::kNone, false, false},
     {SimFunction::kJaroWinkler, "jaro_winkler", "Jaro Winkler",
-     TokenNeed::kNone, false, false, 3.9},
+     TokenNeed::kNone, false, false},
     {SimFunction::kLevenshtein, "levenshtein", "Levenshtein",
-     TokenNeed::kNone, false, false, 6.1},
-    {SimFunction::kCosine, "cosine", "Cosine", TokenNeed::kWords, false, true,
-     16.9},
+     TokenNeed::kNone, false, false},
+    {SimFunction::kCosine, "cosine", "Cosine", TokenNeed::kWords, false, true},
     {SimFunction::kTrigram, "trigram", "Trigram", TokenNeed::kQGram3, false,
-     true, 24.0},
+     true},
     {SimFunction::kJaccard, "jaccard", "Jaccard", TokenNeed::kWords, false,
-     true, 33.8},
+     true},
     {SimFunction::kSoundex, "soundex", "Soundex", TokenNeed::kNone, false,
-     false, 43.9},
-    {SimFunction::kTfIdf, "tf_idf", "TF-IDF", TokenNeed::kWords, true, true,
-     60.9},
+     false},
+    {SimFunction::kTfIdf, "tf_idf", "TF-IDF", TokenNeed::kWords, true, true},
     {SimFunction::kSoftTfIdf, "soft_tf_idf", "Soft TF-IDF", TokenNeed::kWords,
-     true, true, 109.5},
+     true, true},
     {SimFunction::kOverlap, "overlap", "Overlap", TokenNeed::kWords, false,
-     true, 30.0},
-    {SimFunction::kDice, "dice", "Dice", TokenNeed::kWords, false, true,
-     33.0},
+     true},
+    {SimFunction::kDice, "dice", "Dice", TokenNeed::kWords, false, true},
     {SimFunction::kNumeric, "numeric", "Numeric", TokenNeed::kNone, false,
-     false, 1.5},
+     false},
     {SimFunction::kMongeElkan, "monge_elkan", "Monge-Elkan",
-     TokenNeed::kWords, false, true, 45.0},
+     TokenNeed::kWords, false, true},
     {SimFunction::kNeedlemanWunsch, "needleman_wunsch", "Needleman-Wunsch",
-     TokenNeed::kNone, false, false, 28.0},
+     TokenNeed::kNone, false, false},
     {SimFunction::kSmithWaterman, "smith_waterman", "Smith-Waterman",
-     TokenNeed::kNone, false, false, 30.0},
+     TokenNeed::kNone, false, false},
 }};
 
 std::string NormalizeName(std::string_view name) {

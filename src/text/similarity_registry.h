@@ -57,9 +57,6 @@ struct SimFunctionInfo {
   /// vectors instead of heap-allocated strings; bit-identical results —
   /// see src/text/id_kernels.h).
   bool id_path;
-  /// Rough relative cost used only as a prior before the cost model has
-  /// measured anything (1 = an exact match).
-  double cost_hint;
 };
 
 /// Metadata lookup. `fn` must be a valid enumerator.

@@ -303,12 +303,14 @@ TEST_F(CancellationTest, TokenResetAllowsReuse) {
 /// untouched session.
 TEST_F(CancellationTest, DebugSessionDeadlineReturnsPromptPartial) {
   // Quadratic string similarities over titles on tens of thousands of
-  // pairs: the cold first run takes hundreds of ms, so a 50ms deadline
-  // reliably trips mid-run.
+  // pairs: the cold first run takes hundreds of ms (the affine-gap
+  // alignment DP carries most of it), so a 50ms deadline reliably trips
+  // mid-run.
   const char* kRule1 =
       "r1: jaro(title, title) >= 0.02 AND "
       "jaro_winkler(title, title) >= 0.02 AND "
-      "levenshtein(title, title) >= 0.02";
+      "levenshtein(title, title) >= 0.02 AND "
+      "smith_waterman(title, title) >= 0.02";
   const char* kRule2 = "r2: exact_match(modelno, modelno) >= 1";
   GeneratedDataset big = BigProducts(17, 60000);
   GeneratedDataset big2 = BigProducts(17, 60000);  // identical twin

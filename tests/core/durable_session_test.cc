@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -60,8 +63,66 @@ class DurableSessionTest : public ::testing::Test {
         std::move(ds.a), std::move(ds.b), std::move(ds.candidates));
   }
 
+  /// The session's rules in a canonical text form: one line per rule, its
+  /// predicates sorted, the lines sorted. The cost model orders rules and
+  /// the predicates inside each rule by costs it times on the wall clock,
+  /// so two sessions holding the same rules may list them differently
+  /// (the reason SessionStateDigest sorts too).
   std::string Dsl(DebugSession& s) {
-    return FunctionToDsl(s.function(), s.catalog());
+    std::vector<std::string> lines;
+    for (const Rule& rule : s.function().rules()) {
+      std::vector<std::string> preds;
+      for (size_t i = 0; i < rule.size(); ++i) {
+        preds.push_back(PredicateToDsl(rule.predicate(i), s.catalog()));
+      }
+      std::sort(preds.begin(), preds.end());
+      std::string line = rule.name() + ":";
+      for (const std::string& pred : preds) line += " " + pred;
+      lines.push_back(line);
+    }
+    std::sort(lines.begin(), lines.end());
+    std::string out;
+    for (const std::string& line : lines) out += line + "\n";
+    return out;
+  }
+
+  /// Rule `rule`'s predicate on `feature` (e.g. "jaccard(title, title)").
+  /// Edits and checks find rules and predicates by name, never by
+  /// position, since the cost model may order them differently in each
+  /// session (see Dsl()).
+  static const Predicate& Pred(DebugSession& s, std::string_view rule,
+                               std::string_view feature) {
+    const MatchingFunction& fn = s.function();
+    for (size_t i = 0; i < fn.num_rules(); ++i) {
+      if (fn.rule(i).name() != rule) continue;
+      for (size_t k = 0; k < fn.rule(i).size(); ++k) {
+        const Predicate& p = fn.rule(i).predicate(k);
+        if (s.catalog().Name(p.feature) == feature) return p;
+      }
+    }
+    ADD_FAILURE() << "no predicate " << rule << ": " << feature;
+    static const Predicate kMissing{};
+    return kMissing;
+  }
+
+  static RuleId RuleByName(DebugSession& s, std::string_view name) {
+    const MatchingFunction& fn = s.function();
+    for (size_t i = 0; i < fn.num_rules(); ++i) {
+      if (fn.rule(i).name() == name) return fn.rule(i).id();
+    }
+    ADD_FAILURE() << "no rule named " << name;
+    return kInvalidRule;
+  }
+
+  /// Sets, and reads, r1's only threshold (on jaccard(title, title)).
+  static Status SetR1(DebugSession& s, double threshold) {
+    return s.SetThreshold(RuleByName(s, "r1"),
+                          Pred(s, "r1", "jaccard(title, title)").id,
+                          threshold);
+  }
+
+  static double R1Threshold(DebugSession& s) {
+    return Pred(s, "r1", "jaccard(title, title)").threshold;
   }
 
   std::string journal_path() const { return dir_ + "/journal.log"; }
@@ -102,10 +163,8 @@ TEST_F(DurableSessionTest, RecoverRestoresEditsFromJournal) {
     for (DebugSession* s : {session.get(), survivor.get()}) {
       ASSERT_TRUE(
           s->AddRuleText("r3: jaccard(category, category) >= 0.9").ok());
-      const Rule& r1 = *s->function().RuleById(s->function().rule(0).id());
-      ASSERT_TRUE(
-          s->SetThreshold(r1.id(), r1.predicate(0).id, 0.65).ok());
-      ASSERT_TRUE(s->RemoveRule(s->function().rule(1).id()).ok());
+      ASSERT_TRUE(SetR1(*s, 0.65).ok());
+      ASSERT_TRUE(s->RemoveRule(RuleByName(*s, "r2")).ok());
     }
     EXPECT_EQ(session->edits_since_checkpoint(), 3u);
     EXPECT_EQ(Dsl(*session), Dsl(*survivor));
@@ -121,8 +180,7 @@ TEST_F(DurableSessionTest, RecoverRestoresEditsFromJournal) {
 
   // The recovered memo is live: further identical edits stay in lockstep.
   for (DebugSession* s : {recovered.get(), survivor.get()}) {
-    const Rule& r = *s->function().RuleById(s->function().rule(0).id());
-    ASSERT_TRUE(s->SetThreshold(r.id(), r.predicate(0).id, 0.45).ok());
+    ASSERT_TRUE(SetR1(*s, 0.45).ok());
   }
   EXPECT_EQ(recovered->Run(), survivor->Run());
   EXPECT_EQ(Dsl(*recovered), Dsl(*survivor));
@@ -132,9 +190,7 @@ TEST_F(DurableSessionTest, CheckpointCadenceTruncatesJournal) {
   auto session = FreshSession();
   ASSERT_TRUE(session->EnableDurability(dir_, 2).ok());
 
-  const Rule& r1 = session->function().rule(0);
-  ASSERT_TRUE(
-      session->SetThreshold(r1.id(), r1.predicate(0).id, 0.61).ok());
+  ASSERT_TRUE(SetR1(*session, 0.61).ok());
   EXPECT_EQ(session->edits_since_checkpoint(), 1u);
   {
     auto contents = EditJournal::Read(journal_path());
@@ -144,8 +200,7 @@ TEST_F(DurableSessionTest, CheckpointCadenceTruncatesJournal) {
   }
 
   // Second edit crosses the cadence: checkpoint + fresh journal.
-  ASSERT_TRUE(
-      session->SetThreshold(r1.id(), r1.predicate(0).id, 0.62).ok());
+  ASSERT_TRUE(SetR1(*session, 0.62).ok());
   EXPECT_EQ(session->edits_since_checkpoint(), 0u);
   {
     auto contents = EditJournal::Read(journal_path());
@@ -161,16 +216,14 @@ TEST_F(DurableSessionTest, CheckpointCadenceTruncatesJournal) {
   session.reset();
   auto recovered = FreshSessionForRecovery();
   ASSERT_TRUE(recovered->Recover(dir_).ok());
-  const Rule& rec_r1 = recovered->function().rule(0);
-  EXPECT_DOUBLE_EQ(rec_r1.predicate(0).threshold, 0.62);
+  EXPECT_DOUBLE_EQ(R1Threshold(*recovered), 0.62);
 }
 
 TEST_F(DurableSessionTest, TornFinalJournalRecordIsDropped) {
   double original_threshold = 0.0;
   {
     auto session = FreshSession();
-    original_threshold =
-        session->function().rule(0).predicate(0).threshold;
+    original_threshold = R1Threshold(*session);
     ASSERT_TRUE(session->EnableDurability(dir_, 100).ok());
   }
   // Simulate a crash mid-append: a half-written record with no newline
@@ -185,8 +238,7 @@ TEST_F(DurableSessionTest, TornFinalJournalRecordIsDropped) {
   ASSERT_TRUE(recovered->Recover(dir_).ok())
       << "a torn tail is the signature of a crash mid-append and must "
          "be tolerated";
-  EXPECT_DOUBLE_EQ(recovered->function().rule(0).predicate(0).threshold,
-                   original_threshold)
+  EXPECT_DOUBLE_EQ(R1Threshold(*recovered), original_threshold)
       << "the torn edit never committed and must not be applied";
 }
 
@@ -194,11 +246,8 @@ TEST_F(DurableSessionTest, CorruptEarlierJournalRecordIsParseError) {
   {
     auto session = FreshSession();
     ASSERT_TRUE(session->EnableDurability(dir_, 100).ok());
-    const Rule& r1 = session->function().rule(0);
-    ASSERT_TRUE(
-        session->SetThreshold(r1.id(), r1.predicate(0).id, 0.61).ok());
-    ASSERT_TRUE(
-        session->SetThreshold(r1.id(), r1.predicate(0).id, 0.62).ok());
+    ASSERT_TRUE(SetR1(*session, 0.61).ok());
+    ASSERT_TRUE(SetR1(*session, 0.62).ok());
   }
   // Flip one payload byte of the first record; the second record after it
   // means this is not a torn tail.
@@ -250,9 +299,7 @@ TEST_F(DurableSessionTest, UndoIsJournaledAsItsInverse) {
     auto session = FreshSession();
     ASSERT_TRUE(session->EnableDurability(dir_, 100).ok());
     for (DebugSession* s : {session.get(), survivor.get()}) {
-      const Rule& r1 = *s->function().RuleById(s->function().rule(0).id());
-      ASSERT_TRUE(
-          s->SetThreshold(r1.id(), r1.predicate(0).id, 0.9).ok());
+      ASSERT_TRUE(SetR1(*s, 0.9).ok());
       ASSERT_TRUE(
           s->AddRuleText("r3: jaccard(category, category) >= 0.8").ok());
       ASSERT_TRUE(s->Undo().ok());  // removes r3 again
@@ -301,15 +348,12 @@ TEST_F(DurableSessionTest, RecoverAfterEnableOnRecoveredSession) {
   {
     auto session = FreshSession();
     ASSERT_TRUE(session->EnableDurability(dir_, 100).ok());
-    const Rule& r1 = session->function().rule(0);
-    ASSERT_TRUE(
-        session->SetThreshold(r1.id(), r1.predicate(0).id, 0.7).ok());
+    ASSERT_TRUE(SetR1(*session, 0.7).ok());
   }
   {
     auto recovered = FreshSessionForRecovery();
     ASSERT_TRUE(recovered->Recover(dir_, 100).ok());
-    EXPECT_DOUBLE_EQ(recovered->function().rule(0).predicate(0).threshold,
-                     0.7);
+    EXPECT_DOUBLE_EQ(R1Threshold(*recovered), 0.7);
     ASSERT_TRUE(
         recovered
             ->AddRuleText("r3: jaccard(category, category) >= 0.95")
@@ -318,7 +362,7 @@ TEST_F(DurableSessionTest, RecoverAfterEnableOnRecoveredSession) {
   auto again = FreshSessionForRecovery();
   ASSERT_TRUE(again->Recover(dir_).ok());
   EXPECT_EQ(again->function().num_rules(), 3u);
-  EXPECT_DOUBLE_EQ(again->function().rule(0).predicate(0).threshold, 0.7);
+  EXPECT_DOUBLE_EQ(R1Threshold(*again), 0.7);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 /// failures must yield clean partial results whose evaluated bits are
 /// still exact — never silently wrong matches.
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -64,9 +65,19 @@ class ShardDriverTest : public ::testing::Test {
     // (true of every blocker's output).
     pairs_ = ds_->candidates;
     pairs_.SortAndDedup();
+    // One spill directory per test, so tests run as parallel processes
+    // never overwrite each other's shard-N.state files.
+    spill_dir_ =
+        ::testing::TempDir() + "/emdbg_shard_driver_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(spill_dir_);
+    std::filesystem::create_directories(spill_dir_);
   }
 
-  void TearDown() override { FaultInjection::DisarmAll(); }
+  void TearDown() override {
+    FaultInjection::DisarmAll();
+    std::filesystem::remove_all(spill_dir_);
+  }
 
   MatchingFunction MakeFunction(uint64_t seed = 3, int num_rules = 4) {
     RuleGeneratorConfig config;
@@ -87,7 +98,7 @@ class ShardDriverTest : public ::testing::Test {
     return serial.RunWithState(fn, pairs_, fresh, *state_out);
   }
 
-  std::string SpillDir() { return ::testing::TempDir(); }
+  std::string SpillDir() { return spill_dir_; }
 
   ShardedMatchDriver::Options DriverOptions(size_t shard_pairs,
                                             ThreadPool* pool = nullptr) {
@@ -102,6 +113,7 @@ class ShardDriverTest : public ::testing::Test {
   std::unique_ptr<FeatureCatalog> catalog_;
   std::unique_ptr<PairContext> ctx_;
   CandidateSet pairs_;
+  std::string spill_dir_;
 };
 
 // ---------------------------------------------------------------------------

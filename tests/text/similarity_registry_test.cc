@@ -11,7 +11,6 @@ TEST(RegistryTest, AllFunctionsHaveMetadata) {
     const SimFunctionInfo& info = GetSimFunctionInfo(fn);
     EXPECT_EQ(info.fn, fn);
     EXPECT_NE(info.name, nullptr);
-    EXPECT_GT(info.cost_hint, 0.0);
   }
 }
 
