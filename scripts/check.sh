@@ -11,7 +11,8 @@
 #   scripts/check.sh ubsan           # UBSan build + the arithmetic-heavy
 #                                    #   and budget/governor tests
 #                                    #   (EMDBG_UBSAN_ALL=1 = whole suite)
-#   scripts/check.sh all             # release, asan, tsan, then ubsan
+#   scripts/check.sh lint            # source lints only (no build)
+#   scripts/check.sh all             # lint, release, asan, tsan, then ubsan
 #
 # Each mode uses its own build directory (build/, build-asan/,
 # build-tsan/, build-ubsan/) so switching sanitizers never requires a
@@ -40,6 +41,21 @@ tsan_filter+='|Server|Soak|Wire|SessionDigest|Fault'
 ubsan_filter='Similarity|Levenshtein|Jaro|Cosine|Tfidf|SoftTfidf|Crc32c'
 ubsan_filter+='|Numeric|MongeElkan|Alignment|Interner|IdKernels'
 ubsan_filter+='|MemoryBudget|BudgetFault|Governor|Memo|Bitmap'
+
+# The text and blocking layers must not depend on the process locale:
+# <cctype> classification and case calls follow LC_CTYPE (a Latin-1 locale
+# calls 0xC0 a letter and folds it to 0xE0), which would make tokens,
+# scores and candidate pairs differ between processes. Use the ASCII
+# helpers in src/util/string_util.h instead.
+lint() {
+  echo "==> [lint] locale-free text and blocking layers"
+  local pattern='<cctype>|<ctype\.h>|(^|[^[:alnum:]_])(std::)?(is(alnum|alpha|blank|cntrl|digit|graph|lower|print|punct|space|upper|xdigit)|to(lower|upper))[[:space:]]*\('
+  if grep -rnE "$pattern" src/text src/block; then
+    echo "lint: <cctype> classification or case call in src/text or" \
+         "src/block (use IsAscii*/AsciiTo* from src/util/string_util.h)" >&2
+    exit 1
+  fi
+}
 
 run_mode() {
   local mode="$1" dir
@@ -76,7 +92,11 @@ run_mode() {
 }
 
 case "${1:-release}" in
+  lint)
+    lint
+    ;;
   all)
+    lint
     run_mode release
     run_mode asan
     run_mode tsan

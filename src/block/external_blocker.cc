@@ -1,7 +1,6 @@
 #include "src/block/external_blocker.h"
 
 #include <algorithm>
-#include <cctype>
 #include <utility>
 #include <vector>
 
@@ -17,9 +16,8 @@ std::string SnKey(const std::string& value, size_t prefix) {
   std::string key;
   key.reserve(prefix);
   for (char c : value) {
-    const unsigned char uc = static_cast<unsigned char>(c);
-    if (std::isalnum(uc)) {
-      key.push_back(static_cast<char>(std::tolower(uc)));
+    if (IsAsciiAlnum(c)) {
+      key.push_back(AsciiToLower(c));
       if (key.size() >= prefix) break;
     }
   }

@@ -1,8 +1,9 @@
 #include "src/block/sorted_neighborhood.h"
 
 #include <algorithm>
-#include <cctype>
 #include <vector>
+
+#include "src/util/string_util.h"
 
 namespace emdbg {
 
@@ -13,9 +14,8 @@ std::string MakeKey(const std::string& value, size_t prefix) {
   std::string key;
   key.reserve(prefix);
   for (char c : value) {
-    const unsigned char uc = static_cast<unsigned char>(c);
-    if (std::isalnum(uc)) {
-      key.push_back(static_cast<char>(std::tolower(uc)));
+    if (IsAsciiAlnum(c)) {
+      key.push_back(AsciiToLower(c));
       if (key.size() >= prefix) break;
     }
   }

@@ -69,9 +69,8 @@ void CostModel::MeasureLookupCost() {
 double CostModel::FeatureCost(FeatureId feature) const {
   const auto it = cost_us_.find(feature);
   if (it != cost_us_.end()) return std::max(it->second, lookup_cost_us_);
-  // Unmeasured: static registry hint. We cannot reach the catalog from
-  // here, so the hint is unavailable; use a generic mid-range fallback.
-  return 10.0 * fallback_unit_us_;
+  // Unmeasured (no EnsureFeature yet): one fixed cost for every feature.
+  return kUnmeasuredCostUs;
 }
 
 bool CostModel::FallbackPass(size_t sample_index, const Predicate& p) {
@@ -83,18 +82,24 @@ bool CostModel::FallbackPass(size_t sample_index, const Predicate& p) {
   return (h & 1) == 0;
 }
 
+const std::vector<float>* CostModel::ValuesOf(FeatureId feature) const {
+  const auto it = values_.find(feature);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool CostModel::PredicatePasses(const Predicate& p,
-                                size_t sample_index) const {
-  const auto it = values_.find(p.feature);
-  if (it == values_.end()) return FallbackPass(sample_index, p);
-  return p.Test(static_cast<double>(it->second[sample_index]));
+                                const std::vector<float>* values,
+                                size_t sample_index) {
+  if (values == nullptr) return FallbackPass(sample_index, p);
+  return p.Test(static_cast<double>((*values)[sample_index]));
 }
 
 double CostModel::PredicateSelectivity(const Predicate& p) const {
   if (sample_.empty()) return 0.5;
+  const std::vector<float>* values = ValuesOf(p.feature);
   size_t pass = 0;
   for (size_t s = 0; s < sample_.size(); ++s) {
-    if (PredicatePasses(p, s)) ++pass;
+    if (PredicatePasses(p, values, s)) ++pass;
   }
   return static_cast<double>(pass) / static_cast<double>(sample_.size());
 }
@@ -102,11 +107,14 @@ double CostModel::PredicateSelectivity(const Predicate& p) const {
 double CostModel::JointSelectivity(
     const std::vector<Predicate>& preds) const {
   if (sample_.empty()) return preds.empty() ? 1.0 : 0.5;
+  std::vector<const std::vector<float>*> values;
+  values.reserve(preds.size());
+  for (const Predicate& p : preds) values.push_back(ValuesOf(p.feature));
   size_t pass = 0;
   for (size_t s = 0; s < sample_.size(); ++s) {
     bool all = true;
-    for (const Predicate& p : preds) {
-      if (!PredicatePasses(p, s)) {
+    for (size_t k = 0; k < preds.size(); ++k) {
+      if (!PredicatePasses(preds[k], values[k], s)) {
         all = false;
         break;
       }
@@ -138,8 +146,9 @@ std::vector<double> CostModel::PrefixSelectivities(const Rule& r) const {
   size_t alive_count = sample_.size();
   for (size_t k = 0; k < r.size(); ++k) {
     const Predicate& p = r.predicate(k);
+    const std::vector<float>* values = ValuesOf(p.feature);
     for (size_t s = 0; s < sample_.size(); ++s) {
-      if (alive[s] && !PredicatePasses(p, s)) {
+      if (alive[s] && !PredicatePasses(p, values, s)) {
         alive[s] = 0;
         --alive_count;
       }
@@ -208,9 +217,14 @@ void CostModel::UpdateCacheAfterRule(const Rule& r,
 
 std::vector<char> CostModel::RuleTruthOnSample(const Rule& r) const {
   std::vector<char> truth(sample_.size(), 1);
+  std::vector<const std::vector<float>*> values;
+  values.reserve(r.size());
+  for (const Predicate& p : r.predicates()) {
+    values.push_back(ValuesOf(p.feature));
+  }
   for (size_t s = 0; s < sample_.size(); ++s) {
-    for (const Predicate& p : r.predicates()) {
-      if (!PredicatePasses(p, s)) {
+    for (size_t k = 0; k < r.size(); ++k) {
+      if (!PredicatePasses(r.predicate(k), values[k], s)) {
         truth[s] = 0;
         break;
       }
@@ -271,7 +285,7 @@ double CostModel::SimulatedCostWithMemo(const MatchingFunction& fn) const {
           total += FeatureCost(p.feature);
           computed.insert(p.feature);
         }
-        if (!PredicatePasses(p, s)) {
+        if (!PredicatePasses(p, ValuesOf(p.feature), s)) {
           rule_true = false;
           break;
         }

@@ -45,10 +45,13 @@ class CostModel {
 
   size_t sample_size() const { return sample_.size(); }
 
-  /// Average measured computation cost of a feature (µs). Falls back to
-  /// the registry's static hint scaled by `fallback_unit_us` for
-  /// unmeasured features.
+  /// Average measured computation cost of a feature (µs), at least δ. An
+  /// unmeasured feature costs kUnmeasuredCostUs, the same for every
+  /// feature.
   double FeatureCost(FeatureId feature) const;
+
+  /// FeatureCost of a feature not measured on the sample (µs).
+  static constexpr double kUnmeasuredCostUs = 2.0;
 
   /// Memo lookup cost δ (µs), measured at Estimate() time.
   double lookup_cost_us() const { return lookup_cost_us_; }
@@ -128,14 +131,19 @@ class CostModel {
   /// (sample index, feature) so joint queries stay consistent.
   static bool FallbackPass(size_t sample_index, const Predicate& p);
 
-  bool PredicatePasses(const Predicate& p, size_t sample_index) const;
+  /// The feature's recorded sample values, or null when unmeasured. The
+  /// selectivity scans resolve it once per predicate, not per sample pair.
+  const std::vector<float>* ValuesOf(FeatureId feature) const;
+
+  /// Truth of `p` on sample pair `sample_index`, given ValuesOf(p.feature).
+  static bool PredicatePasses(const Predicate& p,
+                              const std::vector<float>* values,
+                              size_t sample_index);
 
   CandidateSet sample_;
   std::unordered_map<FeatureId, std::vector<float>> values_;
   std::unordered_map<FeatureId, double> cost_us_;
   double lookup_cost_us_ = 0.02;
-  /// µs corresponding to one registry cost-hint unit, for fallbacks.
-  double fallback_unit_us_ = 0.2;
 };
 
 }  // namespace emdbg

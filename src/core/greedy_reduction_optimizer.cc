@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/ordering.h"
@@ -32,27 +31,32 @@ std::vector<size_t> GreedyReductionOrder(const MatchingFunction& fn,
   }
   const double lookup = model.lookup_cost_us();
 
-  // Per-feature savings (cost(f) − δ, clamped) and remaining-reach sums.
-  std::unordered_map<FeatureId, double> savings;
-  std::unordered_map<FeatureId, double> reach_sum;
+  // Per-feature state, indexed densely by FeatureId: savings (cost(f) − δ,
+  // clamped), remaining-reach sums S(f) and cache probabilities α(f). The
+  // greedy step reads it for every candidate rule and feature, so no hash
+  // lookups there.
+  size_t num_features = 0;
   for (const RuleProfile& p : profiles) {
     for (const auto& [f, reach] : p.feature_reach) {
-      if (savings.find(f) == savings.end()) {
-        savings[f] = std::max(model.FeatureCost(f) - lookup, 0.0);
-      }
+      num_features = std::max<size_t>(num_features, size_t{f} + 1);
+    }
+  }
+  std::vector<double> savings(num_features, 0.0);
+  std::vector<double> reach_sum(num_features, 0.0);
+  std::vector<double> alpha(num_features, 0.0);
+  for (const RuleProfile& p : profiles) {
+    for (const auto& [f, reach] : p.feature_reach) {
+      savings[f] = std::max(model.FeatureCost(f) - lookup, 0.0);
       reach_sum[f] += reach;
     }
   }
 
-  CacheProbabilities cache;
   auto reduction_of = [&](const RuleProfile& p) {
     double total = 0.0;
     for (const auto& [f, reach] : p.feature_reach) {
-      const auto it = cache.find(f);
-      const double alpha = it == cache.end() ? 0.0 : it->second;
       const double partner_reach = reach_sum[f] - reach;
       if (partner_reach <= 0.0) continue;
-      total += (1.0 - alpha) * reach * savings[f] * partner_reach;
+      total += (1.0 - alpha[f]) * reach * savings[f] * partner_reach;
     }
     return total;
   };
@@ -71,10 +75,10 @@ std::vector<size_t> GreedyReductionOrder(const MatchingFunction& fn,
       // rule first). The cost is only computed on ties.
       if (reduction > best_reduction) {
         best_reduction = reduction;
-        best_cost = profiles[i].CostWithCache(cache, lookup);
+        best_cost = profiles[i].CostWithCache(alpha, lookup);
         best = i;
       } else if (reduction == best_reduction) {
-        const double cost = profiles[i].CostWithCache(cache, lookup);
+        const double cost = profiles[i].CostWithCache(alpha, lookup);
         if (cost < best_cost) {
           best_cost = cost;
           best = i;
@@ -87,7 +91,7 @@ std::vector<size_t> GreedyReductionOrder(const MatchingFunction& fn,
     for (const auto& [f, reach] : profiles[best].feature_reach) {
       reach_sum[f] -= reach;
     }
-    profiles[best].UpdateCache(cache);
+    profiles[best].UpdateCache(alpha);
   }
   return order;
 }

@@ -180,7 +180,6 @@ bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
     ids->doc = InternDocIds(*tokens, *interner_);
     slots[attr * rows + row] = std::move(ids);
   }
-  ranks_ = interner_->LexRanks();
   // Parallel phase: per-row sorting touches distinct slots, reads nothing
   // shared.
   ForEachRow(pool, rows, [&](uint32_t row) {
@@ -191,7 +190,6 @@ bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
   // denial, drop the column and degrade: the string kernels take over
   // with identical values.
   size_t bytes = TakeInternerGrowth();
-  if (ranks_ != nullptr) bytes += ranks_->capacity() * sizeof(uint32_t);
   for (uint32_t row = 0; row < rows; ++row) {
     bytes += OneTokenIdsBytes(*slots[attr * rows + row]);
   }
@@ -207,13 +205,18 @@ bool PairContext::BuildTfColumn(bool table_b, AttrIndex attr,
   if (!BuildIdColumn(table_b, attr, /*qgrams=*/false, pool)) return false;
   const Table& table = table_b ? b_ : a_;
   const uint32_t rows = table.num_rows();
+  // Rank-ordered vectors are built only here (and the TF-IDF weights from
+  // them), so this is the one place the snapshot is refreshed: after the
+  // column's ids are interned, before the sort. The interner reports its
+  // bytes (DictionaryBytes), so they are billed with its growth.
+  ranks_ = interner_->LexRanks();
   const auto ranks = ranks_;
   ForEachRow(pool, rows, [&](uint32_t row) {
     const size_t slot = attr * rows + row;
     idc.word_tf[slot] = std::make_unique<IdTfVector>(
         MakeIdTfVector(idc.words[slot]->doc, *ranks));
   });
-  size_t bytes = 0;
+  size_t bytes = TakeInternerGrowth();
   for (uint32_t row = 0; row < rows; ++row) {
     const auto& tf = *idc.word_tf[attr * rows + row];
     bytes += sizeof(IdTfVector) +
@@ -665,7 +668,6 @@ size_t PairContext::IdCacheBytes() const {
     bytes += mc.idf_by_id.capacity() * sizeof(double);
     bytes += WeightRowBytes(mc.rows_a) + WeightRowBytes(mc.rows_b);
   }
-  if (ranks_ != nullptr) bytes += ranks_->capacity() * sizeof(uint32_t);
   return bytes;
 }
 
@@ -699,7 +701,7 @@ size_t PairContext::DropIdCaches() {
     std::fill(idc->tf_built.begin(), idc->tf_built.end(), false);
   }
   model_ids_.clear();
-  const size_t freed = before - IdCacheBytes();  // ranks_ survives
+  const size_t freed = before - IdCacheBytes();
   ResyncBillingSerial();
   return freed;
 }

@@ -126,7 +126,8 @@ class PairContext {
   size_t TokenCacheBytes() const;
 
   /// Approximate heap bytes held by the interned-id caches (id arrays, tf
-  /// vectors, TF-IDF weight vectors; excludes the interner itself).
+  /// vectors, TF-IDF weight vectors; excludes the interner itself and its
+  /// rank snapshot, which TokenInterner::DictionaryBytes reports).
   size_t IdCacheBytes() const;
 
   /// The token dictionary, or nullptr when interning is disabled (exposed
@@ -245,8 +246,15 @@ class PairContext {
   IdCache idc_a_;
   IdCache idc_b_;
   std::map<std::pair<AttrIndex, AttrIndex>, ModelIdCache> model_ids_;
-  /// Lexicographic-rank snapshot, refreshed whenever a build interns new
-  /// tokens (serial phases only; concurrent readers see a settled value).
+  /// Lexicographic-rank snapshot, read by the kernels that merge by rank
+  /// (cosine, TF-IDF, soft TF-IDF). Refreshed only by BuildTfColumn, just
+  /// before it sorts a column by rank (EnsureModelIds builds on those
+  /// columns); BuildIdColumn interns without one, as the set kernels and
+  /// Monge-Elkan read no rank. So the snapshot always covers every id in a
+  /// rank-ordered vector, and as interning never reorders existing ids, a
+  /// vector sorted under an older snapshot stays sorted under it. Serial
+  /// phases only; concurrent readers see a settled value. Its bytes are
+  /// the interner's (DictionaryBytes), not IdCacheBytes.
   std::shared_ptr<const std::vector<uint32_t>> ranks_;
   std::atomic<size_t> compute_count_{0};
 

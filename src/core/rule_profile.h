@@ -54,28 +54,49 @@ struct RuleProfile {
   /// CostModel::RuleCostWithCache, without sample scans.
   double CostWithCache(const CacheProbabilities& cache,
                        double lookup_cost_us) const {
+    return CostWith(
+        [&cache](FeatureId f) {
+          const auto it = cache.find(f);
+          return it == cache.end() ? 0.0 : it->second;
+        },
+        lookup_cost_us);
+  }
+
+  /// The same cost with the cache probabilities held densely: alpha[f] is
+  /// cache(f) for every feature of the rule.
+  double CostWithCache(const std::vector<double>& alpha,
+                       double lookup_cost_us) const {
+    return CostWith([&alpha](FeatureId f) { return alpha[f]; },
+                    lookup_cost_us);
+  }
+
+  /// Advances `cache` as if this rule executed (the α recursion). `Cache`
+  /// is CacheProbabilities or a dense std::vector<double> indexed by
+  /// FeatureId that covers the rule's features.
+  template <typename Cache>
+  void UpdateCache(Cache& cache) const {
+    for (const auto& [f, reach] : feature_reach) {
+      double& alpha = cache[f];
+      alpha = alpha + (1.0 - alpha) * reach;
+    }
+  }
+
+ private:
+  template <typename AlphaOf>
+  double CostWith(AlphaOf alpha_of, double lookup_cost_us) const {
     double cost = 0.0;
     for (size_t k = 0; k < prefix_sel.size(); ++k) {
       double acquire;
       if (!first_on_feature[k]) {
         acquire = lookup_cost_us;
       } else {
-        const auto it = cache.find(feature[k]);
-        const double alpha = it == cache.end() ? 0.0 : it->second;
+        const double alpha = alpha_of(feature[k]);
         acquire =
             (1.0 - alpha) * feature_cost[k] + alpha * lookup_cost_us;
       }
       cost += prefix_sel[k] * acquire;
     }
     return cost;
-  }
-
-  /// Advances `cache` as if this rule executed (the α recursion).
-  void UpdateCache(CacheProbabilities& cache) const {
-    for (const auto& [f, reach] : feature_reach) {
-      double& alpha = cache[f];
-      alpha = alpha + (1.0 - alpha) * reach;
-    }
   }
 };
 

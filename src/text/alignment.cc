@@ -6,6 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "src/util/string_util.h"
+
 namespace emdbg {
 
 namespace {
@@ -24,11 +26,6 @@ constexpr int kHalfGapExtend = -1;
 static_assert(kHalfMatch == 2 * kMatch && kHalfMismatch == 2 * kMismatch &&
               kHalfGapOpen == 2 * kGapOpen &&
               kHalfGapExtend == 2 * kGapExtend);
-
-// ASCII case folding that does not consult the locale: only 'A'-'Z' fold.
-char FoldAscii(char c) {
-  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
-}
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
@@ -56,8 +53,9 @@ double AlignScalar(std::string_view a, std::string_view b, bool local) {
     cur_x[0] = kNegInf;
     cur_y[0] = kGapOpen + static_cast<double>(i - 1) * kGapExtend;
     for (size_t j = 1; j <= m; ++j) {
-      const double sub =
-          FoldAscii(a[i - 1]) == FoldAscii(b[j - 1]) ? kMatch : kMismatch;
+      const double sub = AsciiToLower(a[i - 1]) == AsciiToLower(b[j - 1])
+                             ? kMatch
+                             : kMismatch;
       double diag_best =
           std::max({prev_m[j - 1], prev_x[j - 1], prev_y[j - 1]});
       if (local) diag_best = std::max(diag_best, 0.0);
@@ -167,7 +165,7 @@ Score AlignHalfUnits(std::string_view rows, std::string_view cols,
   Score* h_row = y_cur + width;
 
   for (size_t j = 1; j <= m; ++j) {
-    folded[j] = static_cast<unsigned char>(FoldAscii(cols[j - 1]));
+    folded[j] = static_cast<unsigned char>(AsciiToLower(cols[j - 1]));
   }
   // Row 0: M[0][0] = 0, X[0][j] = o + (j-1)*e, everything else -inf.
   d_prev[0] = 0;
@@ -183,7 +181,7 @@ Score AlignHalfUnits(std::string_view rows, std::string_view cols,
     d_cur[0] = y0;
     y_cur[0] = y0;
     h_row[0] = y0;
-    const Score ch = static_cast<unsigned char>(FoldAscii(rows[i - 1]));
+    const Score ch = static_cast<unsigned char>(AsciiToLower(rows[i - 1]));
     best = std::max(best, DiagonalAndVertical<Score, kLocal>(
                               m, ch, folded, d_prev, y_prev, y_cur, h_row));
     Horizontal<Score>(m, h_row, d_cur);

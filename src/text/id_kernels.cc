@@ -190,6 +190,12 @@ double IdSoftTfIdf(const IdWeightVector& a, const IdWeightVector& b,
                    const TokenInterner& interner, double threshold) {
   if (a.entries.empty() && b.entries.empty()) return 1.0;
   if (a.entries.empty() || b.entries.empty()) return 0.0;
+  // A fuzzy-only term of a is held fixed and b's terms scan it:
+  // JW(term_b, term_a) == JW(term_a, term_b) bit for bit (jaro.h), so the
+  // scan yields the string path's similarities in its order. b's bytes
+  // are cleared once, on the first fuzzy term.
+  JaroFixedSide side;
+  bool b_cleared = false;
   double score = 0.0;
   for (const auto& [id_a, weight_a] : a.entries) {
     // Exact-match shortcut: if a's term also occurs in b, the best partner
@@ -209,13 +215,27 @@ double IdSoftTfIdf(const IdWeightVector& a, const IdWeightVector& b,
       best_weight = it->second;
     } else {
       const std::string_view term_a = interner.Text(id_a);
+      const bool fixed =
+          !term_a.empty() && term_a.size() <= JaroFixedSide::kMaxFixed;
+      if (fixed) {
+        if (!b_cleared) {
+          for (const auto& entry : b.entries) {
+            side.Clear(interner.Text(entry.first));
+          }
+          b_cleared = true;
+        }
+        side.Set(term_a);
+      }
       for (const auto& [id_b, weight_b] : b.entries) {
-        const double sim = JaroWinklerSimilarity(term_a, interner.Text(id_b));
+        const std::string_view term_b = interner.Text(id_b);
+        const double sim = fixed ? side.JaroWinkler(term_b)
+                                 : JaroWinklerSimilarity(term_a, term_b);
         if (sim > best_sim || (sim == best_sim && weight_b > best_weight)) {
           best_sim = sim;
           best_weight = weight_b;
         }
       }
+      if (fixed) side.Clear(term_a);
     }
     if (best_sim >= threshold) {
       score += weight_a * best_weight * best_sim;
@@ -224,34 +244,58 @@ double IdSoftTfIdf(const IdWeightVector& a, const IdWeightVector& b,
   return std::min(score, 1.0);
 }
 
-double IdMongeElkanDirected(const TokenList& a_tokens, const TokenIds& a_ids,
-                            const TokenList& b_tokens,
-                            const TokenIds& b_ids) {
-  if (a_tokens.empty() && b_tokens.empty()) return 1.0;
-  if (a_tokens.empty() || b_tokens.empty()) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < a_tokens.size(); ++i) {
-    double best = 0.0;
-    if (std::binary_search(b_ids.sorted.begin(), b_ids.sorted.end(),
-                           a_ids.doc[i])) {
-      // The string path's inner loop would stop at this token with
-      // best == JW(t, t) == 1.0 exactly.
-      best = 1.0;
-    } else {
-      for (const std::string& tb : b_tokens) {
-        best = std::max(best, JaroWinklerSimilarity(a_tokens[i], tb));
-        if (best == 1.0) break;
-      }
-    }
-    sum += best;
-  }
-  return sum / static_cast<double>(a_tokens.size());
-}
-
 double IdMongeElkan(const TokenList& a_tokens, const TokenList& b_tokens,
                     const TokenIds& a_ids, const TokenIds& b_ids) {
-  return (IdMongeElkanDirected(a_tokens, a_ids, b_tokens, b_ids) +
-          IdMongeElkanDirected(b_tokens, b_ids, a_tokens, a_ids)) /
+  const size_t n = a_tokens.size();
+  const size_t m = b_tokens.size();
+  if (n == 0 || m == 0) return n == 0 && m == 0 ? 1.0 : 0.0;
+  // row_best[i] = max_j JW(a_i, b_j), the string path's a-to-b inner
+  // loop; col_best is the same for one b_j against all of a. A token that
+  // also occurs on the other side starts at exactly 1.0 = JW(t, t), the
+  // largest value Jaro-Winkler takes.
+  // Token lists rarely exceed 32 tokens: no heap allocation per pair.
+  constexpr size_t kInlineRows = 32;
+  double inline_rows[kInlineRows];
+  std::vector<double> heap_rows;
+  double* row_best = inline_rows;
+  if (n > kInlineRows) {
+    heap_rows.resize(n);
+    row_best = heap_rows.data();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    row_best[i] = std::binary_search(b_ids.sorted.begin(),
+                                     b_ids.sorted.end(), a_ids.doc[i])
+                      ? 1.0
+                      : 0.0;
+  }
+  JaroFixedSide side;
+  for (const std::string& ta : a_tokens) side.Clear(ta);
+  double sum_b = 0.0;
+  for (size_t j = 0; j < m; ++j) {
+    const std::string& tb = b_tokens[j];
+    double col_best = std::binary_search(a_ids.sorted.begin(),
+                                         a_ids.sorted.end(), b_ids.doc[j])
+                          ? 1.0
+                          : 0.0;
+    const bool fixed = !tb.empty() && tb.size() <= JaroFixedSide::kMaxFixed;
+    if (fixed) side.Set(tb);
+    for (size_t i = 0; i < n; ++i) {
+      // Neither maximum can move: skip the cell.
+      if (col_best == 1.0 && row_best[i] == 1.0) continue;
+      // One score feeds both directions: JW is symmetric bit for bit.
+      const double jw = fixed ? side.JaroWinkler(a_tokens[i])
+                              : JaroWinklerSimilarity(tb, a_tokens[i]);
+      row_best[i] = std::max(row_best[i], jw);
+      col_best = std::max(col_best, jw);
+    }
+    if (fixed) side.Clear(tb);
+    sum_b += col_best;
+  }
+  // Each direction sums its maxima in token order, as the string path
+  // does; max itself does not depend on the order the cells came in.
+  double sum_a = 0.0;
+  for (size_t i = 0; i < n; ++i) sum_a += row_best[i];
+  return (sum_a / static_cast<double>(n) + sum_b / static_cast<double>(m)) /
          2.0;
 }
 

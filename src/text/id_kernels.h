@@ -84,22 +84,24 @@ double IdTfIdfCosine(const IdWeightVector& a, const IdWeightVector& b,
 
 /// Soft TF-IDF (SoftTfIdfSimilarity) over prebuilt weight vectors. Exact
 /// token matches short-circuit the inner Jaro-Winkler scan via a rank
-/// binary search; fuzzy-only terms fall back to the same lexicographic
-/// scan as the string path, reading token bytes from the interner.
+/// binary search; a fuzzy-only term is held fixed (JaroFixedSide) and b's
+/// terms, read from the interner, scan it in the string path's order.
 double IdSoftTfIdf(const IdWeightVector& a, const IdWeightVector& b,
                    const std::vector<uint32_t>& rank,
                    const TokenInterner& interner, double threshold = 0.9);
 
-/// Monge-Elkan (symmetric) with an integer-id candidate filter: a token
-/// that also occurs on the other side scores exactly 1.0 without running
-/// any Jaro-Winkler comparisons (JW(t, t) == 1.0 and 1.0 is the loop's
-/// early-exit maximum, so the skip is bit-identical).
+/// Monge-Elkan (MongeElkanSimilarity, symmetric) in one pass over the
+/// |a| x |b| token matrix: each cell's Jaro-Winkler is computed once and
+/// feeds both a's row maximum and b's column maximum, which is exact
+/// because Jaro-Winkler is symmetric bit for bit (jaro.h). A token that
+/// also occurs on the other side (integer-id membership) starts at
+/// exactly 1.0 = JW(t, t), the largest score, and a cell whose row and
+/// column are both at 1.0 is skipped. b's per-byte masks are written once
+/// per column (JaroFixedSide). Max does not depend on the order the cells
+/// come in, and each direction sums its maxima in token order, so the
+/// result is bit-identical to the two-pass string kernel.
 double IdMongeElkan(const TokenList& a_tokens, const TokenList& b_tokens,
                     const TokenIds& a_ids, const TokenIds& b_ids);
-
-/// One direction (exposed for tests, mirrors MongeElkanDirected).
-double IdMongeElkanDirected(const TokenList& a_tokens, const TokenIds& a_ids,
-                            const TokenList& b_tokens, const TokenIds& b_ids);
 
 }  // namespace emdbg
 

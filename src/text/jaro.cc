@@ -38,33 +38,29 @@ double WinklerBoost(double jaro, std::string_view a, std::string_view b) {
   return jaro + static_cast<double>(prefix) * kPrefixWeight * (1.0 - jaro);
 }
 
+}  // namespace
+
 // The bit-parallel search, for |b| <= 64: b's positions fit one word.
-// mask[c] holds bit j iff b[j] == c; only the entries of bytes that are
-// read (those of b and of the scanned prefix of a) are written, so the
-// table needs no clearing pass. `flagged` holds the b positions already
-// matched. For each a[i] in order, the lowest set bit of
+// mask_[c] holds bit j iff b[j] == c (Set), and the entries of a's other
+// bytes read 0 (Clear). `flagged` holds the b positions already matched.
+// For each a[i] in order, the lowest set bit of
 // mask[a[i]] & ~flagged & window(i) is the first free equal byte in the
 // window: the textbook loop's greedy choice.
-double JaroOneWord(std::string_view a, std::string_view b) {
+double JaroFixedSide::Jaro(std::string_view a) const {
+  const std::string_view b = b_;
+  if (a.empty()) return 0.0;  // b is never empty
   const size_t n = a.size();
   const size_t m = b.size();
   const size_t window = MatchWindow(n, m);
   // a[i] with i - window >= m has an empty window, as has every later one.
   const size_t scan = std::min(n, m + window);
 
-  std::array<uint64_t, 256> mask;  // entries written before they are read
-  for (size_t i = 0; i < scan; ++i) mask[static_cast<unsigned char>(a[i])] = 0;
-  for (size_t j = 0; j < m; ++j) mask[static_cast<unsigned char>(b[j])] = 0;
-  for (size_t j = 0; j < m; ++j) {
-    mask[static_cast<unsigned char>(b[j])] |= uint64_t{1} << j;
-  }
-
   std::array<char, 64> a_matched;  // matched bytes of a, in a's order
   uint64_t flagged = 0;
   size_t matches = 0;
   for (size_t i = 0; i < scan; ++i) {
     const size_t lo = i > window ? i - window : 0;  // lo < m <= 64
-    uint64_t candidates = mask[static_cast<unsigned char>(a[i])] &
+    uint64_t candidates = mask_[static_cast<unsigned char>(a[i])] &
                           ~flagged & (~uint64_t{0} << lo);
     const size_t hi = i + window + 1;
     // Bits at or above m are never set in mask, so only hi < m needs the
@@ -87,12 +83,18 @@ double JaroOneWord(std::string_view a, std::string_view b) {
   return JaroFromCounts(matches, transpositions, n, m);
 }
 
-}  // namespace
+double JaroFixedSide::JaroWinkler(std::string_view a) const {
+  return WinklerBoost(Jaro(a), a, b_);
+}
 
 double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  return b.size() <= 64 ? JaroOneWord(a, b) : JaroSimilarityScalar(a, b);
+  if (b.size() > JaroFixedSide::kMaxFixed) return JaroSimilarityScalar(a, b);
+  JaroFixedSide side;
+  side.Clear(a);
+  side.Set(b);
+  return side.Jaro(a);
 }
 
 double JaroSimilarityScalar(std::string_view a, std::string_view b) {

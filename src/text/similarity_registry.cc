@@ -1,7 +1,6 @@
 #include "src/text/similarity_registry.h"
 
 #include <array>
-#include <cctype>
 #include <string>
 
 #include "src/text/alignment.h"
@@ -56,8 +55,7 @@ std::string NormalizeName(std::string_view name) {
   out.reserve(name.size());
   for (char c : name) {
     if (c == ' ' || c == '-' || c == '_') continue;
-    out.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    out.push_back(AsciiToLower(c));
   }
   return out;
 }

@@ -1,9 +1,8 @@
 #include "src/text/soundex.h"
 
-#include <cctype>
-
 #include "src/text/set_similarity.h"
 #include "src/text/tokenizer.h"
+#include "src/util/string_util.h"
 
 namespace emdbg {
 
@@ -51,10 +50,7 @@ std::string SoundexCode(std::string_view word) {
   std::string letters;
   letters.reserve(word.size());
   for (char c : word) {
-    if (std::isalpha(static_cast<unsigned char>(c))) {
-      letters.push_back(
-          static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-    }
+    if (IsAsciiAlpha(c)) letters.push_back(AsciiToUpper(c));
   }
   if (letters.empty()) return "";
   std::string code;

@@ -1,7 +1,6 @@
 #include "src/text/tokenizer.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "src/util/string_util.h"
 
@@ -27,10 +26,8 @@ TokenList AlnumTokenize(std::string_view text) {
   TokenList out;
   std::string cur;
   for (char c : text) {
-    const unsigned char uc = static_cast<unsigned char>(c);
-    if (std::isalnum(uc)) {
-      cur.push_back(
-          static_cast<char>(std::tolower(uc)));
+    if (IsAsciiAlnum(c)) {
+      cur.push_back(AsciiToLower(c));
     } else if (!cur.empty()) {
       out.push_back(std::move(cur));
       cur.clear();
@@ -46,10 +43,7 @@ TokenList QGramTokenize(std::string_view text, size_t q, char pad) {
   std::string padded;
   padded.reserve(text.size() + 2 * (q - 1));
   padded.append(q - 1, pad);
-  for (char c : text) {
-    padded.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
+  for (char c : text) padded.push_back(AsciiToLower(c));
   padded.append(q - 1, pad);
   out.reserve(padded.size() - q + 1);
   for (size_t i = 0; i + q <= padded.size(); ++i) {

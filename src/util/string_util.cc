@@ -4,15 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cerrno>
-#include <cctype>
 
 namespace emdbg {
 
 std::string ToLowerAscii(std::string_view s) {
   std::string out(s);
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
+  for (char& c : out) c = AsciiToLower(c);
   return out;
 }
 
@@ -79,8 +76,7 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
+    if (AsciiToLower(a[i]) != AsciiToLower(b[i])) {
       return false;
     }
   }

@@ -10,6 +10,26 @@ namespace emdbg {
 /// ASCII-only helpers. Entity-matching corpora in this repo are synthetic
 /// ASCII, so we avoid locale machinery on purpose.
 
+/// Byte classes and case folding that ignore the process locale. The
+/// <cctype> functions follow LC_CTYPE: under a Latin-1 locale they call
+/// 0xC0 a letter and fold it to 0xE0, so tokens, scores and blocking keys
+/// would depend on the embedding program's locale. Here only 'A'-'Z',
+/// 'a'-'z' and '0'-'9' are letters or digits, only 'A'-'Z' / 'a'-'z'
+/// fold, and bytes >= 0x80 are neither and never fold.
+constexpr bool IsAsciiAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsAsciiAlnum(char c) {
+  return IsAsciiAlpha(c) || IsAsciiDigit(c);
+}
+constexpr char AsciiToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+constexpr char AsciiToUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
 /// Lower-cases ASCII letters; other bytes pass through.
 std::string ToLowerAscii(std::string_view s);
 

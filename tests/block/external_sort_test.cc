@@ -262,5 +262,33 @@ TEST_F(ExternalBlockerTest, SortedNeighborhoodIdenticalAcrossWindows) {
   }
 }
 
+TEST_F(ExternalBlockerTest, SortedNeighborhoodKeysFoldAsciiOnly) {
+  // The external blocker's keys fold like the in-memory blocker's: 'A'-'Z'
+  // only, bytes >= 0x80 dropped as non-alphanumeric (see
+  // SortedNeighborhoodTest.KeysFoldAsciiOnly).
+  Table a("A", Schema({"name"}));
+  Table b("B", Schema({"name"}));
+  for (const char* v : {"MANGO", "\xC0\xC1"}) {
+    ASSERT_TRUE(a.AppendRow({v}).ok());
+  }
+  for (const char* v : {"mango", "apple", "\xE0\xE1"}) {
+    ASSERT_TRUE(b.AppendRow({v}).ok());
+  }
+  testing::UnderCAndLatin1Locales([&] {
+    auto memory = SortedNeighborhoodBlocker("name", 2).Block(a, b);
+    ASSERT_TRUE(memory.ok());
+    ExternalSortedNeighborhoodBlocker::Options opts;
+    opts.attribute = "name";
+    opts.window = 2;
+    opts.sort = Opts("sn_fold");
+    auto external = ExternalSortedNeighborhoodBlocker(opts).Block(a, b);
+    ASSERT_TRUE(external.ok()) << external.status().ToString();
+    ExpectSameSet(*external, *memory);
+    // Sorted folded keys apple, MANGO, mango: MANGO sits next to both.
+    // The 0xC0 and 0xE0 rows have empty keys and block with nothing.
+    EXPECT_EQ(external->pairs(), (std::vector<PairId>{{0, 0}, {0, 1}}));
+  });
+}
+
 }  // namespace
 }  // namespace emdbg

@@ -1,6 +1,10 @@
 #include "src/block/sorted_neighborhood.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
+
+#include "tests/test_util.h"
 
 namespace emdbg {
 namespace {
@@ -60,6 +64,27 @@ TEST(SortedNeighborhoodTest, EmptyKeysSkipped) {
   auto pairs = SortedNeighborhoodBlocker("name", 4).Block(a, b);
   ASSERT_TRUE(pairs.ok());
   EXPECT_TRUE(pairs->empty());
+}
+
+TEST(SortedNeighborhoodTest, KeysFoldAsciiOnly) {
+  testing::UnderCAndLatin1Locales([] {
+    // Folded, "MANGO" sorts between "apple" and "mango" and so sits next
+    // to both; unfolded it would sort first, away from "mango".
+    const Table a = MakeTable("a", {"MANGO"});
+    const Table b = MakeTable("b", {"mango", "apple"});
+    auto pairs = SortedNeighborhoodBlocker("name", 2).Block(a, b);
+    ASSERT_TRUE(pairs.ok());
+    EXPECT_EQ(pairs->size(), 2u);
+    EXPECT_NE(std::find(pairs->pairs().begin(), pairs->pairs().end(),
+                        PairId{0, 0}),
+              pairs->pairs().end());
+    // Bytes >= 0x80 are not alphanumeric: these keys are empty.
+    auto latin = SortedNeighborhoodBlocker("name", 4)
+                     .Block(MakeTable("a", {"\xC0\xC1"}),
+                            MakeTable("b", {"\xE0\xE1"}));
+    ASSERT_TRUE(latin.ok());
+    EXPECT_TRUE(latin->empty());
+  });
 }
 
 TEST(SortedNeighborhoodTest, MissingAttributeIsNotFound) {

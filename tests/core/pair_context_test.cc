@@ -1,7 +1,12 @@
 #include "src/core/pair_context.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/util/memory_budget.h"
+#include "src/util/random.h"
 #include "tests/test_util.h"
 
 namespace emdbg {
@@ -101,6 +106,56 @@ TEST_F(PairContextTest, ClearTokenCaches) {
   ctx.ClearTokenCaches();
   // Values still computable after the caches are dropped.
   EXPECT_GE(ctx.ComputeFeature(f, {0, 0}), 0.0);
+}
+
+TEST_F(PairContextTest, RankSnapshotIsBilledOnce) {
+  // Long random text gives a large q-gram vocabulary, so the lexicographic
+  // rank snapshot is large next to everything else the context bills. It
+  // must be billed once, as the interner's, not once per column build.
+  Rng rng(41);
+  auto random_text = [&rng] {
+    const std::string alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 ";
+    std::string text;
+    for (int i = 0; i < 600; ++i) {
+      text.push_back(alphabet[rng.Uniform(alphabet.size())]);
+    }
+    return text;
+  };
+  const Schema schema({"w", "x", "y", "z"});
+  Table a("A", schema);
+  Table b("B", schema);
+  for (int row = 0; row < 16; ++row) {
+    (void)a.AppendRow(
+        {random_text(), random_text(), random_text(), random_text()});
+    (void)b.AppendRow(
+        {random_text(), random_text(), random_text(), random_text()});
+  }
+  FeatureCatalog catalog(schema, schema);
+  std::vector<FeatureId> features;
+  for (AttrIndex attr = 0; attr < schema.size(); ++attr) {
+    for (const SimFunction fn :
+         {SimFunction::kTrigram, SimFunction::kJaccard, SimFunction::kCosine,
+          SimFunction::kTfIdf}) {
+      features.push_back(catalog.Intern(Feature{fn, attr, attr}));
+    }
+  }
+
+  PairContext unbudgeted(a, b, catalog);
+  unbudgeted.Prewarm(features);
+  ASSERT_NE(unbudgeted.interner(), nullptr);
+  const size_t reported = unbudgeted.TokenCacheBytes() +
+                          unbudgeted.IdCacheBytes() +
+                          unbudgeted.interner()->ArenaBytes() +
+                          unbudgeted.interner()->DictionaryBytes();
+
+  // What the context reports, plus two billing chunks of rounding.
+  MemoryBudget budget(reported + 2 * 256 * 1024);
+  PairContext ctx(a, b, catalog, PairContext::Options{.budget = &budget});
+  ctx.Prewarm(features);
+  EXPECT_EQ(ctx.budget_denials(), 0u);
+  EXPECT_FALSE(ctx.id_path_degraded());
+  EXPECT_FALSE(ctx.token_cache_degraded());
+  EXPECT_LE(budget.used(), reported + 256 * 1024);
 }
 
 }  // namespace

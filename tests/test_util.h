@@ -1,6 +1,8 @@
 #ifndef EMDBG_TESTS_TEST_UTIL_H_
 #define EMDBG_TESTS_TEST_UTIL_H_
 
+#include <clocale>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,24 @@
 #include "src/data/table.h"
 
 namespace emdbg::testing {
+
+/// Runs `check` under the process's LC_CTYPE, then again under the first
+/// installed Latin-1 locale, if any (under one, <cctype> calls 0xC0 a
+/// letter and folds it to 0xE0), and restores the locale. Only C and
+/// C.UTF-8 may be installed: then the check pins the ASCII-only
+/// construction, and the Latin-1 run is skipped.
+inline void UnderCAndLatin1Locales(const std::function<void()>& check) {
+  check();
+  const std::string saved = std::setlocale(LC_CTYPE, nullptr);
+  for (const char* name :
+       {"en_US.ISO-8859-1", "en_US.iso88591", "de_DE.ISO-8859-1"}) {
+    if (std::setlocale(LC_CTYPE, name) != nullptr) {
+      check();
+      break;
+    }
+  }
+  std::setlocale(LC_CTYPE, saved.c_str());
+}
 
 /// The Figure 2 tables from the paper, plus a couple of extra rows:
 /// people with name / phone / zip / street attributes.

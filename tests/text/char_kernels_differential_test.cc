@@ -3,13 +3,14 @@
 // doubles, bit for bit (memcmp), as their textbook *Scalar oracles — for
 // seeded random strings of 0-300 bytes that cross every 64-bit word
 // boundary, over alphabets of 2-64 symbols (small ones give long match
-// chains), with mixed case and bytes >= 0x80, in both argument orders.
-// Monge-Elkan and soft TF-IDF are checked against reference loops built on
-// the scalar Jaro-Winkler, and all four functions through
-// PairContext::ComputeFeatureBlock on a generated products corpus.
+// chains), with mixed case and bytes >= 0x80, in both argument orders;
+// Jaro and Jaro-Winkler must also be symmetric bit for bit. Monge-Elkan
+// and soft TF-IDF, string and interned-id kernels, are checked against
+// reference loops built on the scalar Jaro-Winkler, and all four character
+// functions through PairContext::ComputeFeatureBlock on a generated
+// products corpus.
 
 #include <algorithm>
-#include <clocale>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -22,11 +23,14 @@
 #include "src/core/pair_context.h"
 #include "src/data/datasets.h"
 #include "src/text/alignment.h"
+#include "src/text/id_kernels.h"
 #include "src/text/jaro.h"
 #include "src/text/monge_elkan.h"
 #include "src/text/soft_tfidf.h"
 #include "src/text/tfidf.h"
+#include "src/text/token_interner.h"
 #include "src/util/random.h"
+#include "tests/test_util.h"
 
 namespace emdbg {
 namespace {
@@ -187,6 +191,17 @@ void CheckJaro(const std::vector<Case>& cases) {
       log.Check("jaro_winkler", JaroWinklerSimilarity(a, b),
                 JaroWinklerSimilarityScalar(a, b), a, b);
     }
+    // Symmetry, which the one-pass Monge-Elkan and soft TF-IDF rely on
+    // (the proof is in jaro.h): both kernels, both argument orders.
+    log.Check("jaro symmetry", JaroSimilarity(c.b, c.a),
+              JaroSimilarity(c.a, c.b), c.a, c.b);
+    log.Check("jaro_winkler symmetry", JaroWinklerSimilarity(c.b, c.a),
+              JaroWinklerSimilarity(c.a, c.b), c.a, c.b);
+    log.Check("jaro scalar symmetry", JaroSimilarityScalar(c.b, c.a),
+              JaroSimilarityScalar(c.a, c.b), c.a, c.b);
+    log.Check("jaro_winkler scalar symmetry",
+              JaroWinklerSimilarityScalar(c.b, c.a),
+              JaroWinklerSimilarityScalar(c.a, c.b), c.a, c.b);
   }
   log.ExpectClean();
 }
@@ -282,18 +297,9 @@ TEST(AlignmentDifferentialTest, CaseFoldingIsAsciiOnly) {
     EXPECT_EQ(SmithWatermanSimilarity("SONY \xC0", "sony \xE0"),
               10.0 / 12.0);
   };
-  expect_fold();
   // Where a Latin-1 locale is installed, std::tolower would fold 0xC0 to
   // 0xE0 under it; the kernels must not change.
-  const std::string saved = std::setlocale(LC_CTYPE, nullptr);
-  for (const char* name :
-       {"en_US.ISO-8859-1", "en_US.iso88591", "de_DE.ISO-8859-1"}) {
-    if (std::setlocale(LC_CTYPE, name) != nullptr) {
-      expect_fold();
-      break;
-    }
-  }
-  std::setlocale(LC_CTYPE, saved.c_str());
+  testing::UnderCAndLatin1Locales(expect_fold);
 }
 
 // Random token lists: short words over small alphabets (many near
@@ -369,6 +375,61 @@ TEST(MongeElkanDifferentialTest, MatchesScalarJaroWinklerLoop) {
         2.0;
     log.Check("monge_elkan", MongeElkanSimilarity(a, b), want, Joined(a),
               Joined(b));
+  }
+  log.ExpectClean();
+}
+
+TEST(MongeElkanDifferentialTest, OnePassIdKernelMatchesScalarLoop) {
+  // The id kernel's one |a| x |b| pass against the two-pass reference:
+  // short tokens over small alphabets, tokens past 64 bytes (no fixed
+  // masks), bytes >= 0x80, and shared tokens (the exact-hit skip).
+  const std::vector<TokenList> lists = RandomTokenLists(33, 4000);
+  TokenInterner interner;
+  MismatchLog log;
+  for (size_t i = 0; i + 1 < lists.size(); i += 2) {
+    const TokenList& a = lists[i];
+    TokenList b = lists[i + 1];
+    if (i % 4 == 0 && !a.empty()) b.push_back(a[i % a.size()]);
+    TokenIds ia;
+    ia.doc = InternDocIds(a, interner);
+    ia.sorted = SortedUniqueIds(ia.doc);
+    TokenIds ib;
+    ib.doc = InternDocIds(b, interner);
+    ib.sorted = SortedUniqueIds(ib.doc);
+    const double want =
+        (MongeElkanDirectedScalar(a, b) + MongeElkanDirectedScalar(b, a)) /
+        2.0;
+    log.Check("id monge_elkan", IdMongeElkan(a, b, ia, ib), want, Joined(a),
+              Joined(b));
+  }
+  log.ExpectClean();
+}
+
+TEST(SoftTfidfDifferentialTest, IdKernelMatchesScalarLoop) {
+  const std::vector<TokenList> lists = RandomTokenLists(34, 4000);
+  const TfIdfModel model = TfIdfModel::Build(lists);
+  TokenInterner interner;
+  std::vector<TokenIds> ids;
+  for (const TokenList& tokens : lists) {
+    ids.push_back({InternDocIds(tokens, interner), {}});
+  }
+  const auto ranks = interner.LexRanks();
+  std::vector<double> idf_by_id;
+  for (uint32_t id = 0; id < interner.size(); ++id) {
+    idf_by_id.push_back(model.Idf(std::string(interner.Text(id))));
+  }
+  MismatchLog log;
+  for (size_t i = 0; i + 1 < lists.size(); i += 2) {
+    const IdWeightVector wa = MakeIdWeightVector(
+        MakeIdTfVector(ids[i].doc, *ranks), idf_by_id);
+    const IdWeightVector wb = MakeIdWeightVector(
+        MakeIdTfVector(ids[i + 1].doc, *ranks), idf_by_id);
+    for (const double threshold : {0.0, 0.5, 0.9}) {
+      log.Check("id soft_tf_idf",
+                IdSoftTfIdf(wa, wb, *ranks, interner, threshold),
+                SoftTfIdfScalar(model, lists[i], lists[i + 1], threshold),
+                Joined(lists[i]), Joined(lists[i + 1]));
+    }
   }
   log.ExpectClean();
 }

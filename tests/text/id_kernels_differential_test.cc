@@ -168,7 +168,6 @@ TEST(IdKernelsDifferentialTest, MongeElkanBitIdentical) {
     const TokenIds ia = MakeIds(a, interner);
     const TokenIds ib = MakeIds(b, interner);
     EXPECT_EQ(IdMongeElkan(a, b, ia, ib), MongeElkanSimilarity(a, b));
-    EXPECT_EQ(IdMongeElkanDirected(a, ia, b, ib), MongeElkanDirected(a, b));
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/text/exact.h"
+#include "tests/test_util.h"
+
 namespace emdbg {
 namespace {
 
@@ -30,6 +33,20 @@ TEST(RegistryTest, NameLookupNormalizesSeparatorsAndCase) {
   auto tfidf = SimFunctionFromName("TF-IDF");
   ASSERT_TRUE(tfidf.ok());
   EXPECT_EQ(*tfidf, SimFunction::kTfIdf);
+}
+
+TEST(RegistryTest, CaseFoldingIsAsciiOnly) {
+  // Function names (NormalizeName) and the case-insensitive exact match
+  // (EqualsIgnoreCase) fold 'A'-'Z' only.
+  testing::UnderCAndLatin1Locales([] {
+    auto fn = SimFunctionFromName("JACCARD");
+    ASSERT_TRUE(fn.ok());
+    EXPECT_EQ(*fn, SimFunction::kJaccard);
+    EXPECT_FALSE(SimFunctionFromName("jaccard\xC0").ok());
+    EXPECT_EQ(ExactMatchIgnoreCase("A", "a"), 1.0);
+    EXPECT_EQ(ExactMatchIgnoreCase("\xC0", "\xE0"), 0.0);
+    EXPECT_EQ(ExactMatchIgnoreCase("SONY \xC0", "sony \xC0"), 1.0);
+  });
 }
 
 TEST(RegistryTest, UnknownNameIsNotFound) {

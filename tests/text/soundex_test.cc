@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_util.h"
+
 namespace emdbg {
 namespace {
 
@@ -28,6 +30,17 @@ TEST(SoundexCodeTest, IgnoresNonLetters) {
   EXPECT_EQ(SoundexCode("O'Brien"), SoundexCode("OBrien"));
   EXPECT_EQ(SoundexCode("123"), "");
   EXPECT_EQ(SoundexCode(""), "");
+}
+
+TEST(SoundexCodeTest, CaseFoldingIsAsciiOnly) {
+  testing::UnderCAndLatin1Locales([] {
+    EXPECT_EQ(SoundexCode("A"), SoundexCode("a"));
+    EXPECT_EQ(SoundexCode("a"), "A000");
+    // Bytes >= 0x80 are not letters: skipped, never a code's first letter.
+    EXPECT_EQ(SoundexCode("\xC0"), "");
+    EXPECT_EQ(SoundexCode("\xE0" "b\xC0"), "B000");
+    EXPECT_EQ(SoundexSimilarity("\xC0 b", "\xE0 B"), 1.0);
+  });
 }
 
 TEST(SoundexCodeTest, AdjacentSameDigitsCollapse) {

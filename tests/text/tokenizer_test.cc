@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_util.h"
+
 namespace emdbg {
 namespace {
 
@@ -28,6 +30,20 @@ TEST(TokenizerTest, QGramPadding) {
 
 TEST(TokenizerTest, QGramLowercases) {
   EXPECT_EQ(QGramTokenize("AB", 3), QGramTokenize("ab", 3));
+}
+
+TEST(TokenizerTest, CaseFoldingIsAsciiOnly) {
+  testing::UnderCAndLatin1Locales([] {
+    EXPECT_EQ(AlnumTokenize("A"), (TokenList{"a"}));
+    EXPECT_EQ(QGramTokenize("A", 3), QGramTokenize("a", 3));
+    // Bytes >= 0x80 are not alphanumeric: word separators, never folded.
+    EXPECT_EQ(AlnumTokenize("x\xC0y\xE0z"), (TokenList{"x", "y", "z"}));
+    EXPECT_TRUE(AlnumTokenize("\xC0\xE0").empty());
+    // q-grams keep them raw, unfolded.
+    EXPECT_EQ(QGramTokenize("\xC0", 3),
+              (TokenList{"##\xC0", "#\xC0#", "\xC0##"}));
+    EXPECT_NE(QGramTokenize("\xC0", 3), QGramTokenize("\xE0", 3));
+  });
 }
 
 TEST(TokenizerTest, QGramEdgeCases) {

@@ -1,6 +1,12 @@
 #include "src/util/string_util.h"
 
+#include <cctype>
+#include <clocale>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "tests/test_util.h"
 
 namespace emdbg {
 namespace {
@@ -52,6 +58,38 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
   EXPECT_TRUE(EqualsIgnoreCase("", ""));
   EXPECT_FALSE(EqualsIgnoreCase("a", "ab"));
   EXPECT_FALSE(EqualsIgnoreCase("abc", "abd"));
+}
+
+TEST(StringUtilTest, AsciiClassesAndFoldingIgnoreLocale) {
+  testing::UnderCAndLatin1Locales([] {
+    EXPECT_EQ(AsciiToLower('A'), 'a');
+    EXPECT_EQ(AsciiToUpper('a'), 'A');
+    EXPECT_TRUE(EqualsIgnoreCase("A", "a"));
+    EXPECT_EQ(ToLowerAscii("\xC0"), "\xC0");
+    EXPECT_EQ(AsciiToUpper('\xE0'), '\xE0');
+    EXPECT_FALSE(EqualsIgnoreCase("\xC0", "\xE0"));
+    for (int c = 0x80; c <= 0xFF; ++c) {
+      EXPECT_FALSE(IsAsciiAlnum(static_cast<char>(c))) << c;
+      EXPECT_FALSE(IsAsciiAlpha(static_cast<char>(c))) << c;
+      EXPECT_FALSE(IsAsciiDigit(static_cast<char>(c))) << c;
+    }
+  });
+}
+
+TEST(StringUtilTest, AsciiClassesMatchCctypeInTheCLocale) {
+  // The helpers replace <cctype> calls: in the C locale, every byte must
+  // classify and fold as before.
+  const std::string saved = std::setlocale(LC_CTYPE, nullptr);
+  ASSERT_NE(std::setlocale(LC_CTYPE, "C"), nullptr);
+  for (int c = 0; c <= 0xFF; ++c) {
+    const char ch = static_cast<char>(c);
+    EXPECT_EQ(IsAsciiAlpha(ch), std::isalpha(c) != 0) << c;
+    EXPECT_EQ(IsAsciiDigit(ch), std::isdigit(c) != 0) << c;
+    EXPECT_EQ(IsAsciiAlnum(ch), std::isalnum(c) != 0) << c;
+    EXPECT_EQ(AsciiToLower(ch), static_cast<char>(std::tolower(c))) << c;
+    EXPECT_EQ(AsciiToUpper(ch), static_cast<char>(std::toupper(c))) << c;
+  }
+  std::setlocale(LC_CTYPE, saved.c_str());
 }
 
 TEST(StringUtilTest, ParseDouble) {
