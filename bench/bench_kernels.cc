@@ -6,7 +6,8 @@
 ///     path re-derives sorted/weighted token structures per call (as the
 ///     pre-interning evaluator did), the id path reads the prebuilt
 ///     per-record arrays that PairContext now caches;
-///   * scalar vs bit-parallel (Myers) Levenshtein at 32..256 chars;
+///   * scalar vs bit-parallel (Myers) Levenshtein at 8..256 chars, with a
+///     flag telling whether every distance agreed with the scalar DP's;
 ///   * the character kernels (Jaro, Jaro-Winkler, Smith-Waterman,
 ///     Needleman-Wunsch) against their *Scalar oracles at 8..256 chars
 ///     (Jaro up to 64: a longer b runs the oracle itself), with a flag
@@ -57,6 +58,7 @@ struct LevPoint {
   double scalar_ns = 0.0;  // per pair
   double myers_ns = 0.0;
   double speedup = 0.0;
+  bool identical = false;  // every distance agreed with the scalar DP's
 };
 
 /// One character kernel at one string length: the production kernel
@@ -280,33 +282,49 @@ StringPairs RandomStringPairs(Rng& rng, size_t len) {
 std::vector<LevPoint> BenchLevenshtein(size_t reps) {
   std::vector<LevPoint> points;
   Rng rng(99);
-  for (const size_t len : {size_t{32}, size_t{64}, size_t{128},
-                           size_t{256}}) {
+  for (const size_t len : {size_t{8}, size_t{16}, size_t{32}, size_t{64},
+                           size_t{128}, size_t{256}}) {
     const StringPairs pairs = RandomStringPairs(rng, len);
-    auto time_ns = [&](auto fn) {
-      double best_ms = 1e300;
-      size_t sink = 0;
-      for (size_t rep = 0; rep < reps; ++rep) {
+    // The two kernels' reps alternate, as in BenchCharKernels.
+    double best_ms[2] = {1e300, 1e300};
+    size_t sink = 0;
+    for (size_t rep = 0; rep < reps; ++rep) {
+      for (int side = 0; side < 2; ++side) {
         Stopwatch timer;
-        for (const auto& [a, b] : pairs) sink += fn(a, b);
-        best_ms = std::min(best_ms, timer.ElapsedMillis());
+        for (const auto& [a, b] : pairs) {
+          sink += side == 0 ? LevenshteinDistanceScalar(a, b)
+                            : LevenshteinDistance(a, b);
+        }
+        best_ms[side] = std::min(best_ms[side], timer.ElapsedMillis());
       }
-      if (sink == size_t(-1)) std::printf("impossible\n");
-      return best_ms * 1e6 / static_cast<double>(pairs.size());
-    };
-    const double scalar = time_ns([](const std::string& a,
-                                     const std::string& b) {
-      return LevenshteinDistanceScalar(a, b);
-    });
-    const double myers = time_ns([](const std::string& a,
-                                    const std::string& b) {
-      return LevenshteinDistance(a, b);
-    });
-    points.push_back({len, scalar, myers, scalar / myers});
+    }
+    if (sink == size_t(-1)) std::printf("impossible\n");
+    LevPoint p;
+    p.length = len;
+    p.scalar_ns = best_ms[0] * 1e6 / static_cast<double>(pairs.size());
+    p.myers_ns = best_ms[1] * 1e6 / static_cast<double>(pairs.size());
+    p.speedup = p.scalar_ns / p.myers_ns;
+    // Both entry points against their oracles, in both argument orders;
+    // the bounds cover an early exit, a distance at the bound and none.
+    p.identical = true;
+    for (const auto& [a, b] : pairs) {
+      for (int order = 0; order < 2; ++order) {
+        const std::string& x = order == 0 ? a : b;
+        const std::string& y = order == 0 ? b : a;
+        const size_t want = LevenshteinDistanceScalar(x, y);
+        p.identical &= LevenshteinDistance(x, y) == want;
+        for (const size_t bound : {size_t{0}, want, len / 4, len}) {
+          p.identical &= LevenshteinDistanceBounded(x, y, bound) ==
+                         std::min(want, bound + 1);
+        }
+      }
+    }
+    points.push_back(p);
     std::printf(
         "levenshtein %3zu chars: scalar %9.1f ns   myers %8.1f ns   "
-        "%5.2fx\n",
-        len, scalar, myers, scalar / myers);
+        "%5.2fx   %s\n",
+        len, p.scalar_ns, p.myers_ns, p.speedup,
+        p.identical ? "identical" : "DIFFERENT");
   }
   return points;
 }
@@ -478,8 +496,10 @@ void WriteJson(const BenchOptions& opts,
     const LevPoint& p = lev[i];
     std::fprintf(f,
                  "    {\"length\": %zu, \"scalar_ns\": %.1f, "
-                 "\"myers_ns\": %.1f, \"speedup\": %.2f}%s\n",
+                 "\"myers_ns\": %.1f, \"speedup\": %.2f, "
+                 "\"identical\": %s}%s\n",
                  p.length, p.scalar_ns, p.myers_ns, p.speedup,
+                 p.identical ? "true" : "false",
                  i + 1 == lev.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");

@@ -1,5 +1,8 @@
 #include "src/data/candidate_io.h"
 
+#include <charconv>
+#include <string_view>
+
 #include "src/util/csv.h"
 #include "src/util/string_util.h"
 
@@ -12,14 +15,27 @@ Status SaveCandidatesCsv(const CandidateSet& candidates,
     return Status::InvalidArgument(
         "labels size must match candidate count");
   }
-  std::string out = labels != nullptr ? "a,b,label\n" : "a,b\n";
+  const std::string_view header =
+      labels != nullptr ? "a,b,label\n" : "a,b\n";
+  constexpr size_t kDigits = 10;  // of the largest uint32
+  constexpr size_t kMaxRowBytes = 2 * kDigits + 4;  // "a,b,label\n"
+  // Reserved, not filled: only the pages the rows are written to are
+  // touched.
+  std::string out;
+  out.reserve(header.size() + candidates.size() * kMaxRowBytes);
+  out += header;
+  char row[kMaxRowBytes];
   for (size_t i = 0; i < candidates.size(); ++i) {
     const PairId p = candidates.pair(i);
+    char* pos = std::to_chars(row, row + kDigits, p.a).ptr;
+    *pos++ = ',';
+    pos = std::to_chars(pos, pos + kDigits, p.b).ptr;
     if (labels != nullptr) {
-      out += StrFormat("%u,%u,%d\n", p.a, p.b, labels->Get(i) ? 1 : 0);
-    } else {
-      out += StrFormat("%u,%u\n", p.a, p.b);
+      *pos++ = ',';
+      *pos++ = labels->Get(i) ? '1' : '0';
     }
+    *pos++ = '\n';
+    out.append(row, pos);
   }
   return WriteStringToFile(path, out);
 }

@@ -6,6 +6,10 @@
 #include <limits>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "src/util/string_util.h"
 
 namespace emdbg {
@@ -78,9 +82,10 @@ double AlignScalar(std::string_view a, std::string_view b, bool local) {
   return std::max({prev_m[m], prev_x[m], prev_y[m]});
 }
 
-// Rows of the production DP, each `cols + 1` scores wide.
+// Rows of the int32/int64 DP, each `cols + 1` scores wide.
 constexpr size_t kDpRows = 6;
-// Rows this wide or narrower (up to 255 columns) live on the stack: 6 KB.
+// Rows this wide or narrower live on the stack: up to 255 columns of the
+// int32 DP (6 KB), up to 256 of the int16 DP (2.5 KB).
 constexpr size_t kInlineWidth = 256;
 // Up to this total length the int32 DP has headroom: a cell's score is at
 // least -3 half-units per consumed character, and the -2^30 sentinel must
@@ -192,6 +197,145 @@ Score AlignHalfUnits(std::string_view rows, std::string_view cols,
   return d_prev[m];
 }
 
+#if defined(__SSE2__)
+// Up to this total length (n + m) every score of the int16 DP below fits.
+// Each step of a path consumes one or two characters and moves the score
+// by at most 3 half-units per character it consumes (a match gains 4 for
+// two, a gap opening costs 3 for one), so cell (i, j) of an n x m' DP lies
+// in [-3 (i + j), 2 (i + j)]. The padded columns (m' <= m + 7, see
+// AlignInt16) are columns of such a DP too. X's prefix maximum adds the
+// column index k and a bias of 3 (n + m'), so its values lie in
+// [0, 6 (n + m')], and 6 * (4096 + 7) < 2^15: no real or padded score
+// saturates int16; only the INT16_MIN sentinel does, and it stays
+// INT16_MIN and loses every maximum.
+constexpr size_t kInt16MaxTotalLength = 4096;
+// int16 scores per SSE2 vector: one vector holds 8 adjacent columns.
+constexpr size_t kLanes = 8;
+// Scores per padded column the int16 DP keeps: the folded column byte,
+// D of the previous and current row, Y of the previous and current row.
+constexpr size_t kInt16Rows = 5;
+
+/// Broadcasts lane 7 of `v` to all eight lanes.
+inline __m128i BroadcastLast(__m128i v) {
+  return _mm_shuffle_epi32(_mm_shufflehi_epi16(v, 0xFF), 0xFF);
+}
+
+/// AlignHalfUnits's recurrences in int16, eight columns per SSE2 vector,
+/// M, Y, H and X of a row in one fused pass. For n + m <=
+/// kInt16MaxTotalLength; `buf` holds kInt16Rows * padded + 2 scores, with
+/// padded = m rounded up to kLanes.
+///
+/// With e = -1, X[j] = o - (j-1) + max_{k<j} (H[k] + k): an exclusive
+/// prefix maximum of G[k] = H[k] + k. Within a vector it takes three
+/// shift-max steps (1, 2 and 4 lanes) and a one-lane shift; the maximum of
+/// all earlier columns is carried from vector to vector, which is the only
+/// serial dependency of the row (Farrar's striped Smith-Waterman uses the
+/// same int16 lanes, Bioinformatics 2007). G carries a bias that makes it
+/// non-negative, so the zero lanes a byte shift brings in lose every
+/// maximum.
+///
+/// The padding columns right of column m only feed columns further right,
+/// so no real cell reads them. Their byte never matches, so a padded M is
+/// an alignment ending in a mismatch and stays below max(0, best real M):
+/// the local maximum over all lanes is the real one.
+template <bool kLocal>
+int AlignInt16(std::string_view rows, std::string_view cols, int16_t* buf) {
+  static_assert(kHalfGapExtend == -1, "X's prefix maximum adds k * -e = k");
+  constexpr int16_t kNeg = std::numeric_limits<int16_t>::min();
+  const size_t n = rows.size();
+  const size_t m = cols.size();
+  const size_t padded = (m + kLanes - 1) / kLanes * kLanes;
+  int16_t* folded = buf;                 // folded[j - 1]: column j's byte
+  int16_t* d_prev = folded + padded;     // d_prev[j]: column j, 0..padded
+  int16_t* d_cur = d_prev + padded + 1;
+  int16_t* y_prev = d_cur + padded + 1;  // y_prev[j - 1]: column j
+  int16_t* y_cur = y_prev + padded;
+
+  // Row 0: M[0][0] = 0, X[0][j] = o + (j-1)*e, Y[0][j] = -inf. A padding
+  // byte of -1 equals no folded byte (0..255).
+  d_prev[0] = 0;
+  for (size_t j = 0; j < padded; ++j) {
+    folded[j] = j < m ? static_cast<unsigned char>(AsciiToLower(cols[j]))
+                      : int16_t{-1};
+    d_prev[j + 1] = static_cast<int16_t>(kHalfGapOpen - static_cast<int>(j));
+    y_prev[j] = kNeg;
+  }
+
+  const auto load = [](const int16_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  const auto store = [](int16_t* p, __m128i v) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  };
+  const __m128i open = _mm_set1_epi16(kHalfGapOpen);
+  const __m128i extend = _mm_set1_epi16(kHalfGapExtend);
+  const __m128i mismatch = _mm_set1_epi16(kHalfMismatch);
+  const __m128i match_gain = _mm_set1_epi16(kHalfMatch - kHalfMismatch);
+  const __m128i x_base = _mm_set1_epi16(kHalfGapOpen + 1);  // o - (j-1) + j
+  const __m128i step = _mm_set1_epi16(static_cast<int16_t>(kLanes));
+  // Column j + bias, for the first vector's columns 1..8.
+  const auto bias = static_cast<int16_t>(3 * (n + padded));
+  const __m128i first_columns = _mm_add_epi16(
+      _mm_setr_epi16(1, 2, 3, 4, 5, 6, 7, 8), _mm_set1_epi16(bias));
+  const __m128i zero = _mm_setzero_si128();
+  __m128i best = zero;
+
+  for (size_t i = 1; i <= n; ++i) {
+    // Column 0: M and X are -inf, D = H = Y[i][0] = o + (i-1)*e.
+    const auto y0 =
+        static_cast<int16_t>(kHalfGapOpen - static_cast<int>(i - 1));
+    d_cur[0] = y0;
+    const __m128i ch = _mm_set1_epi16(
+        static_cast<unsigned char>(AsciiToLower(rows[i - 1])));
+    // max_{k<j} G[k] + bias, starting from G[0] = H[0] = y0.
+    __m128i carry = _mm_set1_epi16(static_cast<int16_t>(y0 + bias));
+    __m128i column = first_columns;
+    // D[i-1][j-1] is D[i-1][j] one lane to the left; the lane that crosses
+    // from the vector before enters through `left`. (An unaligned load of
+    // it would straddle two of the previous row's stores.)
+    __m128i left = _mm_cvtsi32_si128(static_cast<uint16_t>(d_prev[0]));
+    for (size_t c = 0; c < padded; c += kLanes) {
+      const __m128i up = load(d_prev + c + 1);
+      __m128i diag = _mm_or_si128(_mm_slli_si128(up, 2), left);
+      left = _mm_srli_si128(up, 14);
+      if constexpr (kLocal) diag = _mm_max_epi16(diag, zero);
+      const __m128i eq = _mm_cmpeq_epi16(load(folded + c), ch);
+      const __m128i mv = _mm_adds_epi16(
+          diag, _mm_add_epi16(mismatch, _mm_and_si128(eq, match_gain)));
+      const __m128i yv = _mm_max_epi16(
+          _mm_adds_epi16(up, open), _mm_adds_epi16(load(y_prev + c), extend));
+      const __m128i hv = _mm_max_epi16(mv, yv);
+      if constexpr (kLocal) best = _mm_max_epi16(best, mv);
+
+      __m128i g = _mm_adds_epi16(hv, column);
+      g = _mm_max_epi16(g, _mm_slli_si128(g, 2));
+      g = _mm_max_epi16(g, _mm_slli_si128(g, 4));
+      g = _mm_max_epi16(g, _mm_slli_si128(g, 8));
+      // g[l] is the inclusive maximum of the vector's G up to lane l; one
+      // more lane shift and the carry make it max_{k<j} G[k].
+      const __m128i before = _mm_max_epi16(carry, _mm_slli_si128(g, 2));
+      carry = _mm_max_epi16(carry, BroadcastLast(g));
+      const __m128i xv =
+          _mm_adds_epi16(_mm_subs_epi16(before, column), x_base);
+      store(d_cur + c + 1, _mm_max_epi16(hv, xv));
+      store(y_cur + c, yv);
+      column = _mm_add_epi16(column, step);
+    }
+    std::swap(d_prev, d_cur);
+    std::swap(y_prev, y_cur);
+  }
+  if constexpr (kLocal) {
+    // best >= 0 in every lane, so the zeros the shifts bring in are
+    // harmless.
+    best = _mm_max_epi16(best, _mm_srli_si128(best, 8));
+    best = _mm_max_epi16(best, _mm_srli_si128(best, 4));
+    best = _mm_max_epi16(best, _mm_srli_si128(best, 2));
+    return _mm_extract_epi16(best, 0);
+  }
+  return d_prev[m];
+}
+#endif  // __SSE2__
+
 /// Raw alignment score of a and b (both non-empty), equal to AlignScalar's.
 /// The optimum is symmetric in its arguments (the scheme scores both gap
 /// directions alike), so the shorter string goes across: the rows, and
@@ -199,6 +343,18 @@ Score AlignHalfUnits(std::string_view rows, std::string_view cols,
 template <bool kLocal>
 double AlignScore(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);
+#if defined(__SSE2__)
+  if (a.size() + b.size() <= kInt16MaxTotalLength) {
+    const size_t padded = (b.size() + kLanes - 1) / kLanes * kLanes;
+    if (padded <= kInlineWidth) {
+      // Not zeroed: AlignInt16 writes every entry before reading it.
+      std::array<int16_t, kInt16Rows * kInlineWidth + 2> stack;
+      return 0.5 * AlignInt16<kLocal>(a, b, stack.data());
+    }
+    std::vector<int16_t> heap(kInt16Rows * padded + 2);
+    return 0.5 * AlignInt16<kLocal>(a, b, heap.data());
+  }
+#endif
   const size_t width = b.size() + 1;
   if (a.size() + b.size() > kInt32MaxTotalLength) {
     std::vector<int64_t> heap(kDpRows * width);

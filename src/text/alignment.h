@@ -14,9 +14,10 @@ namespace emdbg {
 /// further character (Gotoh's three-state DP).
 ///
 /// Every score the DP can reach is a multiple of 0.5, so the production
-/// DP runs in int32 half-units (match 4, mismatch -2, gap open -3, gap
-/// extend -1) and returns the same doubles as the `double` DP kept in the
-/// `*Scalar` oracles.
+/// DP runs in integer half-units (match 4, mismatch -2, gap open -3, gap
+/// extend -1): in SSE2 int16 lanes when the two strings total at most
+/// 4096 bytes, in int32 (int64 past 2^28 bytes) otherwise. It returns the
+/// same doubles as the `double` DP kept in the `*Scalar` oracles.
 
 /// Global alignment (Needleman-Wunsch with affine gaps), normalized by
 /// match * max(|a|, |b|), so identical strings score 1 and unrelated strings

@@ -11,22 +11,58 @@ namespace {
 
 // Myers' bit-parallel edit distance. The pattern `a` (m rows, m >= 1) is
 // encoded as per-character match masks; each text character of `b` then
-// advances a whole 64-row column of the DP matrix with ~17 word ops. For
-// m > 64 the column is split into ceil(m/64) blocks chained by the
-// horizontal delta carries (the edlib/Hyyro block formulation). The score
-// tracks row m exactly: D[m][j] changes by the Ph/Mh bit at row m, so the
-// returned value equals the scalar DP's.
+// advances a whole 64-row column of the DP matrix with ~17 word ops. The
+// score tracks row m exactly: D[m][j] changes by the Ph/Mh bit at row m, so
+// the returned value equals the scalar DP's.
 //
 // `bound == SIZE_MAX` disables the early exit; otherwise the scan stops as
 // soon as D[m][j] - (n - j) > bound (the score can decrease by at most one
 // per remaining column), returning bound + 1 per the bounded contract.
-size_t MyersDistance(std::string_view a, std::string_view b, size_t bound) {
+
+/// Patterns of at most 64 bytes: one word per column, `pv`/`mv` in
+/// registers, and a sparse match table: only the entries of bytes that
+/// occur in a or b are written (cleared, then a's bits set), and only
+/// those are read, so a short call touches a few entries, not 2 KB.
+size_t MyersOneWord(std::string_view a, std::string_view b, size_t bound) {
+  const size_t m = a.size();
+  const size_t n = b.size();
+  std::array<uint64_t, 256> peq;  // entries written before they are read
+  for (const char c : b) peq[static_cast<unsigned char>(c)] = 0;
+  for (const char c : a) peq[static_cast<unsigned char>(c)] = 0;
+  for (size_t i = 0; i < m; ++i) {
+    peq[static_cast<unsigned char>(a[i])] |= uint64_t{1} << i;
+  }
+  uint64_t pv = ~uint64_t{0};
+  uint64_t mv = 0;
+  size_t score = m;
+  const unsigned last = static_cast<unsigned>(m - 1);
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t eq = peq[static_cast<unsigned char>(b[j])];
+    const uint64_t xv = eq | mv;
+    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+    const uint64_t ph = mv | ~(xh | pv);
+    const uint64_t mh = pv & xh;
+    score += (ph >> last) & 1;
+    score -= (mh >> last) & 1;
+    // Row 0 is D[0][j] = j: the carry into the bottom row is always +1.
+    const uint64_t ph_in = (ph << 1) | 1;
+    pv = (mh << 1) | ~(xv | ph_in);
+    mv = ph_in & xv;
+    if (score > bound && score - bound > n - (j + 1)) return bound + 1;
+  }
+  return score;
+}
+
+/// Patterns longer than 64 bytes: the column is split into ceil(m/64)
+/// blocks chained by the horizontal delta carries (the edlib/Hyyro block
+/// formulation).
+size_t MyersBlocks(std::string_view a, std::string_view b, size_t bound) {
   const size_t m = a.size();
   const size_t n = b.size();
   const size_t blocks = (m + 63) >> 6;
 
-  // Peq[c * blocks + k]: match mask of pattern block k for byte c. Small
-  // patterns (the common case) stay on the stack.
+  // Peq[c * blocks + k]: match mask of pattern block k for byte c. Up to
+  // kInlineBlocks blocks stay on the stack.
   constexpr size_t kInlineBlocks = 4;  // up to 256-byte patterns
   std::array<uint64_t, 256 * kInlineBlocks> peq_stack;
   std::array<uint64_t, kInlineBlocks> pv_stack;
@@ -99,6 +135,11 @@ size_t MyersDistance(std::string_view a, std::string_view b, size_t bound) {
     if (score > bound && score - bound > n - (j + 1)) return bound + 1;
   }
   return score;
+}
+
+size_t MyersDistance(std::string_view a, std::string_view b, size_t bound) {
+  return a.size() <= 64 ? MyersOneWord(a, b, bound)
+                        : MyersBlocks(a, b, bound);
 }
 
 }  // namespace

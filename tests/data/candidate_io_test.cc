@@ -44,6 +44,29 @@ TEST_F(CandidateIoTest, RoundTripWithoutLabels) {
   EXPECT_EQ(loaded->candidates.pairs(), pairs.pairs());
 }
 
+TEST_F(CandidateIoTest, WritesExactBytes) {
+  // The full uint32 range of indices, with and without labels.
+  CandidateSet pairs({{0, 0}, {4294967295u, 7}, {12, 4294967295u}});
+  ASSERT_TRUE(SaveCandidatesCsv(pairs, nullptr, path_).ok());
+  auto text = ReadFileToString(path_);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(*text, "a,b\n0,0\n4294967295,7\n12,4294967295\n");
+
+  PairLabels labels(3);
+  labels.Set(0);
+  labels.Set(2);
+  ASSERT_TRUE(SaveCandidatesCsv(pairs, &labels, path_).ok());
+  text = ReadFileToString(path_);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(*text,
+            "a,b,label\n0,0,1\n4294967295,7,0\n12,4294967295,1\n");
+
+  ASSERT_TRUE(SaveCandidatesCsv(CandidateSet(), nullptr, path_).ok());
+  text = ReadFileToString(path_);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(*text, "a,b\n");
+}
+
 TEST_F(CandidateIoTest, LabelSizeMismatchRejected) {
   CandidateSet pairs({{0, 0}});
   PairLabels labels(5);

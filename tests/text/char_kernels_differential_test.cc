@@ -1,6 +1,7 @@
 // Differential fuzz suite for the character kernels: the bit-parallel
-// Jaro search and the half-unit integer alignment DP must return the same
-// doubles, bit for bit (memcmp), as their textbook *Scalar oracles — for
+// Jaro search and the half-unit integer alignment DPs (int16 SSE2 up to a
+// total of 4096 bytes, int32 past it) must return the same doubles, bit
+// for bit (memcmp), as their textbook *Scalar oracles — for
 // seeded random strings of 0-300 bytes that cross every 64-bit word
 // boundary, over alphabets of 2-64 symbols (small ones give long match
 // chains), with mixed case and bytes >= 0x80, in both argument orders;
@@ -254,8 +255,11 @@ TEST(JaroDifferentialTest, FarApartLengths) {
 }
 
 TEST(AlignmentDifferentialTest, BoundaryLengthGrid) {
-  CheckAlignment(BoundaryGrid(
-      21, {0, 1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257}, {2, 26}));
+  // 7/8/9 and 15/16/17 straddle the int16 DP's 8-column vectors.
+  CheckAlignment(BoundaryGrid(21,
+                              {0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127,
+                               128, 129, 255, 256, 257},
+                              {2, 26}));
 }
 
 TEST(AlignmentDifferentialTest, RandomStrings) {
@@ -279,6 +283,42 @@ TEST(AlignmentDifferentialTest, LongStrings) {
     cases.push_back({a, RandomString(rng, alphabet, 3)});
   }
   CheckAlignment(cases);
+}
+
+TEST(AlignmentDifferentialTest, Int16BoundAndExtremeScores) {
+  // The int16 DP runs up to a total length of 4096 bytes, the int32 DP
+  // past it: each shape below sits on both sides of that bound, and the
+  // skewed ones also far past it (12,000 bytes, where the int16 DP's
+  // column bias alone would no longer fit). The scores are the extremes:
+  // all-match (the largest score), a single byte against another (every
+  // cell a mismatch or a gap: Needleman-Wunsch's most negative scores),
+  // and a long run of one byte ahead of a matching block (a deeply
+  // negative gap that the matches climb back from).
+  Rng rng(25);
+  const std::string alphabet = Alphabet(rng, 26);
+  std::vector<Case> cases;
+  for (const size_t total : {size_t{4096}, size_t{4097}, size_t{12000}}) {
+    std::vector<size_t> short_lens = {1, 9};
+    if (total < 5000) short_lens.push_back(total / 2);
+    for (const size_t short_len : short_lens) {
+      const size_t long_len = total - short_len;
+      const std::string a = RandomString(rng, alphabet, long_len);
+      cases.push_back({a, a.substr(0, short_len)});
+      for (const char other : {'a', 'b'}) {
+        cases.push_back(
+            {std::string(long_len, 'a'), std::string(short_len, other)});
+      }
+      cases.push_back({std::string(long_len, '\xFF'),
+                       RandomString(rng, "xyz", short_len)});
+      const std::string block = RandomString(rng, alphabet, short_len);
+      cases.push_back({std::string(long_len - short_len, 'q') + block, block});
+    }
+  }
+  CheckAlignment(cases);
+  // All-match at the bound: a raw score of 4 half-units per byte pair.
+  const std::string same(2048, 'k');
+  EXPECT_EQ(NeedlemanWunschSimilarity(same, same), 1.0);
+  EXPECT_EQ(SmithWatermanSimilarity(same, same), 1.0);
 }
 
 TEST(AlignmentDifferentialTest, CaseFoldingIsAsciiOnly) {

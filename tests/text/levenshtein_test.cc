@@ -100,8 +100,8 @@ TEST(LevenshteinTest, BitParallelMatchesScalarAcrossBlockBoundaries) {
   // boundaries of the bit-parallel kernel.
   Rng rng(6);
   const std::string alphabet = "abcde";
-  const size_t lengths[] = {0, 1, 31, 63, 64, 65, 100, 127, 128,
-                            129, 191, 192, 193, 255, 256, 300};
+  const size_t lengths[] = {0,   1,   2,   8,   31,  63,  64,  65,  100,
+                            127, 128, 129, 191, 192, 193, 255, 256, 300};
   for (size_t la : lengths) {
     for (size_t lb : {la, la + 1, la / 2, la + 40}) {
       std::string a;
@@ -139,6 +139,45 @@ TEST(LevenshteinTest, BitParallelHandlesHighBytes) {
   }
   EXPECT_EQ(LevenshteinDistance(long_a, long_b),
             LevenshteinDistanceScalar(long_a, long_b));
+}
+
+TEST(LevenshteinTest, OneWordMatchesScalarAtEveryBound) {
+  // Patterns of 1, 2, 63 and 64 bytes take the one-word body, 65 the
+  // block loop; texts of 0-300 bytes, random or edited copies of the
+  // pattern, over bytes >= 0x80 too; both argument orders; every bound
+  // 0..m, so the early exit fires at every column it can.
+  Rng rng(7);
+  const std::string alphabet = "ab\x80\xC3\xFF";
+  const size_t text_lengths[] = {0,  1,  2,   3,   31,  62,  63,  64, 65,
+                                 66, 99, 127, 128, 129, 200, 255, 256, 300};
+  for (const size_t m : {size_t{1}, size_t{2}, size_t{63}, size_t{64},
+                         size_t{65}}) {
+    for (const size_t n : text_lengths) {
+      std::string pattern;
+      for (size_t i = 0; i < m; ++i) {
+        pattern.push_back(alphabet[rng.Uniform(alphabet.size())]);
+      }
+      std::string text;
+      const bool related = rng.Bernoulli(0.5);
+      for (size_t j = 0; j < n; ++j) {
+        text.push_back(related && rng.Uniform(6) != 0
+                           ? pattern[j % m]
+                           : alphabet[rng.Uniform(alphabet.size())]);
+      }
+      for (int order = 0; order < 2; ++order) {
+        const std::string& a = order == 0 ? pattern : text;
+        const std::string& b = order == 0 ? text : pattern;
+        const size_t scalar = LevenshteinDistanceScalar(a, b);
+        ASSERT_EQ(LevenshteinDistance(a, b), scalar)
+            << "m " << m << " n " << n;
+        for (size_t bound = 0; bound <= m; ++bound) {
+          ASSERT_EQ(LevenshteinDistanceBounded(a, b, bound),
+                    std::min(scalar, bound + 1))
+              << "m " << m << " n " << n << " bound " << bound;
+        }
+      }
+    }
+  }
 }
 
 TEST(LevenshteinTest, TriangleInequalityProperty) {

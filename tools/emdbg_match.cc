@@ -218,21 +218,18 @@ int main(int argc, char** argv) {
   const CostModel model = CostModel::EstimateForFunction(*fn, ctx, sample);
   ApplyOrdering(*fn, OrderingStrategy::kGreedyReduction, model, nullptr);
 
-  // Engine auto-selection: observe the match rate on the cost-model
-  // sample (already cached in ctx, so this is nearly free). Pairs that
-  // match survive every predicate of some rule — columnar per-feature
-  // evaluation amortizes that work; pairs that miss usually die on their
-  // first predicate — per-pair early exit skips the rest. A sample match
-  // rate >= 2% tips the balance to the block engine.
+  // Engine auto-selection: the match rate on the cost-model sample, read
+  // from the feature values the model recorded there (no feature is
+  // computed again). Pairs that match survive every predicate of some
+  // rule — columnar per-feature evaluation amortizes that work; pairs that
+  // miss usually die on their first predicate — per-pair early exit skips
+  // the rest. A sample match rate >= 2% tips the balance to the block
+  // engine.
   size_t block_size = 1;  // per-pair
   if (args.engine == Engine::kBlock) {
     block_size = args.block;
   } else if (args.engine == Engine::kAuto && !sample.empty()) {
-    MemoMatcher probe(MemoMatcher::Options{.check_cache_first = true});
-    const MatchResult probe_result = probe.Run(*fn, sample, ctx);
-    const double match_rate =
-        static_cast<double>(probe_result.MatchCount()) /
-        static_cast<double>(sample.size());
+    const double match_rate = model.SampleMatchRate(*fn);
     const bool use_block = match_rate >= 0.02;
     block_size = use_block ? 0 : 1;
     std::printf("auto engine: %s (sample match rate %.1f%%)\n",
