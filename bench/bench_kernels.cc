@@ -1,11 +1,15 @@
 /// Extension bench: the interned-id kernel layer versus the string
 /// kernels it replaces.
 ///
-/// Four sections, written to BENCH_kernels.json:
+/// Six sections, written to BENCH_kernels.json:
 ///   * per-kernel microbenchmarks over real candidate pairs — the string
 ///     path re-derives sorted/weighted token structures per call (as the
 ///     pre-interning evaluator did), the id path reads the prebuilt
 ///     per-record arrays that PairContext now caches;
+///   * build time of each attribute's word-id and q-gram code columns
+///     (PairContext::Prewarm on a fresh context);
+///   * |A ∩ B| at 8..64 elements: the scalar merge against the SSE2 4x4
+///     block kernel, with a flag telling whether every count agreed;
 ///   * scalar vs bit-parallel (Myers) Levenshtein at 8..256 chars, with a
 ///     flag telling whether every distance agreed with the scalar DP's;
 ///   * the character kernels (Jaro, Jaro-Winkler, Smith-Waterman,
@@ -73,6 +77,25 @@ struct CharKernelPoint {
   bool identical = false;
 };
 
+/// Build time of one attribute's id columns (A and B) through
+/// PairContext::Prewarm on a fresh context.
+struct ColumnBuildPoint {
+  std::string attr;
+  std::string kind;  // "words" or "qgrams"
+  size_t rows = 0;   // A + B
+  double build_ms = 0.0;
+};
+
+/// |A ∩ B| of two n-element sorted sets: the scalar merge against the
+/// production kernel (SSE2 4x4 blocks), and whether every count agreed.
+struct IntersectionPoint {
+  size_t elements = 0;
+  double scalar_ns = 0.0;  // per pair
+  double sse2_ns = 0.0;
+  double speedup = 0.0;
+  bool identical = false;
+};
+
 /// Estimated per-stage wall-time decomposition of one end-to-end run:
 /// context construction (tokenize + intern + cache build), cold matching
 /// (kernels + memo probes + predicate eval), warm matching (same run on
@@ -102,7 +125,7 @@ struct Column {
   std::vector<TokenList> words_a, words_b;
   std::vector<TokenList> qgrams_a, qgrams_b;
   std::vector<TokenIds> ids_a, ids_b;          // words
-  std::vector<TokenIds> qids_a, qids_b;        // q-grams
+  std::vector<TokenIds> qids_a, qids_b;        // q-gram codes
   std::vector<IdTfVector> tf_a, tf_b;
   std::vector<IdWeightVector> w_a, w_b;
   TfIdfModel model;
@@ -123,9 +146,10 @@ Column BuildColumn(const BenchEnv& env, AttrIndex attr,
       w.doc = InternDocIds(words.back(), interner);
       w.sorted = SortedUniqueIds(w.doc);
       ids.push_back(std::move(w));
+      // Q-grams as PairContext keeps them: packed codes, not interned.
       TokenIds q;
-      q.doc = InternDocIds(qgrams.back(), interner);
-      q.sorted = SortedUniqueIds(q.doc);
+      q.sorted.resize(QGramCodeCapacity(t.Value(r, attr).size()));
+      q.sorted.resize(SortedQGramCodes(t.Value(r, attr), q.sorted.data()));
       qids.push_back(std::move(q));
     }
   };
@@ -253,9 +277,95 @@ std::vector<KernelPoint> BenchKernels(const BenchEnv& env, size_t reps,
                                                 col.words_b[p.b]);
                   }),
       TimePerPair(pairs, reps, [&](PairId p) {
-        return IdMongeElkan(col.words_a[p.a], col.words_b[p.b],
-                            col.ids_a[p.a], col.ids_b[p.b]);
+        return IdMongeElkan(col.ids_a[p.a].doc, col.ids_a[p.a].sorted,
+                            col.ids_b[p.b].doc, col.ids_b[p.b].sorted,
+                            interner);
       }));
+  return points;
+}
+
+std::vector<ColumnBuildPoint> BenchColumnBuilds(const BenchEnv& env,
+                                               size_t reps) {
+  FeatureCatalog catalog(env.ds.a.schema(), env.ds.b.schema());
+  std::vector<ColumnBuildPoint> points;
+  for (AttrIndex attr = 0; attr < env.ds.a.schema().size(); ++attr) {
+    for (const bool qgrams : {false, true}) {
+      const FeatureId f = catalog.Intern(Feature{
+          qgrams ? SimFunction::kTrigram : SimFunction::kJaccard, attr,
+          attr});
+      ColumnBuildPoint p;
+      p.attr = env.ds.a.schema().name(attr);
+      p.kind = qgrams ? "qgrams" : "words";
+      p.rows = env.ds.a.num_rows() + env.ds.b.num_rows();
+      p.build_ms = 1e300;
+      for (size_t rep = 0; rep < reps; ++rep) {
+        PairContext ctx(env.ds.a, env.ds.b, catalog);
+        Stopwatch timer;
+        ctx.Prewarm({f});
+        p.build_ms = std::min(p.build_ms, timer.ElapsedMillis());
+      }
+      std::printf("column %-10s %-6s %6zu rows: build %7.3f ms\n",
+                  p.attr.c_str(), p.kind.c_str(), p.rows, p.build_ms);
+      points.push_back(p);
+    }
+  }
+  return points;
+}
+
+std::vector<IntersectionPoint> BenchIntersections(size_t reps) {
+  std::vector<IntersectionPoint> points;
+  Rng rng(57);
+  for (const size_t n : {size_t{8}, size_t{16}, size_t{32}, size_t{64}}) {
+    // 256 pairs of n-element sets drawn from 3n values: about a third of
+    // each set is shared, like the q-gram sets of near-duplicate titles.
+    std::vector<std::pair<std::vector<TokenId>, std::vector<TokenId>>> sets;
+    auto draw = [&] {
+      std::vector<TokenId> v;
+      while (v.size() < n) {
+        v.push_back(static_cast<TokenId>(rng.Uniform(3 * n)));
+        if (v.size() == n) {
+          std::sort(v.begin(), v.end());
+          v.erase(std::unique(v.begin(), v.end()), v.end());
+        }
+      }
+      return v;
+    };
+    for (int k = 0; k < 256; ++k) sets.emplace_back(draw(), draw());
+    constexpr int kPasses = 64;  // passes over the sets per timed rep
+    double best_ms[2] = {1e300, 1e300};
+    size_t sink = 0;
+    for (size_t rep = 0; rep < reps; ++rep) {
+      for (int side = 0; side < 2; ++side) {
+        Stopwatch timer;
+        for (int pass = 0; pass < kPasses; ++pass) {
+          for (const auto& [a, b] : sets) {
+            sink += side == 0 ? IdIntersectionSizeScalar(a, b)
+                              : IdIntersectionSize(a, b);
+          }
+        }
+        best_ms[side] = std::min(best_ms[side], timer.ElapsedMillis());
+      }
+    }
+    if (sink == size_t(-1)) std::printf("impossible\n");
+    IntersectionPoint p;
+    p.elements = n;
+    const double calls = static_cast<double>(sets.size()) * kPasses;
+    p.scalar_ns = best_ms[0] * 1e6 / calls;
+    p.sse2_ns = best_ms[1] * 1e6 / calls;
+    p.speedup = p.scalar_ns / p.sse2_ns;
+    p.identical = true;
+    for (const auto& [a, b] : sets) {
+      const size_t want = IdIntersectionSizeScalar(a, b);
+      p.identical &= IdIntersectionSize(a, b) == want &&
+                     IdIntersectionSize(b, a) == want;
+    }
+    std::printf(
+        "intersection %2zu elements: scalar %7.1f ns   sse2 %7.1f ns   "
+        "%5.2fx   %s\n",
+        n, p.scalar_ns, p.sse2_ns, p.speedup,
+        p.identical ? "identical" : "DIFFERENT");
+    points.push_back(p);
+  }
   return points;
 }
 
@@ -465,8 +575,10 @@ void WriteJsonProvenance(std::FILE* f) {
   std::fprintf(f, "  \"build_type\": \"%s\",\n", EMDBG_BUILD_TYPE);
 }
 
-void WriteJson(const BenchOptions& opts,
+void WriteJson(const BenchOptions& opts, const std::string& dataset,
                const std::vector<KernelPoint>& kernels,
+               const std::vector<ColumnBuildPoint>& columns,
+               const std::vector<IntersectionPoint>& intersections,
                const std::vector<LevPoint>& lev,
                const std::vector<CharKernelPoint>& chars,
                const std::vector<E2ePoint>& e2e, const char* path) {
@@ -489,6 +601,29 @@ void WriteJson(const BenchOptions& opts,
                  "\"id_ns_per_pair\": %.1f, \"speedup\": %.2f}%s\n",
                  p.name.c_str(), p.string_ns, p.id_ns, p.speedup,
                  i + 1 == kernels.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"column_builds\": {\"dataset\": \"%s\", \"rows\": [\n",
+               dataset.c_str());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const ColumnBuildPoint& p = columns[i];
+    std::fprintf(f,
+                 "    {\"attr\": \"%s\", \"kind\": \"%s\", \"rows\": %zu, "
+                 "\"build_ms\": %.3f}%s\n",
+                 p.attr.c_str(), p.kind.c_str(), p.rows, p.build_ms,
+                 i + 1 == columns.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ]},\n");
+  std::fprintf(f, "  \"intersections\": [\n");
+  for (size_t i = 0; i < intersections.size(); ++i) {
+    const IntersectionPoint& p = intersections[i];
+    std::fprintf(f,
+                 "    {\"elements\": %zu, \"scalar_ns\": %.1f, "
+                 "\"sse2_ns\": %.1f, \"speedup\": %.2f, "
+                 "\"identical\": %s}%s\n",
+                 p.elements, p.scalar_ns, p.sse2_ns, p.speedup,
+                 p.identical ? "true" : "false",
+                 i + 1 == intersections.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"levenshtein\": [\n");
@@ -553,13 +688,18 @@ void Run(const BenchOptions& opts) {
 
   const std::vector<KernelPoint> kernels =
       BenchKernels(env, opts.reps + 1, pairs);
+  const std::vector<ColumnBuildPoint> columns =
+      BenchColumnBuilds(env, opts.reps + 1);
+  const std::vector<IntersectionPoint> intersections =
+      BenchIntersections(3 * (opts.reps + 1));
   const std::vector<LevPoint> lev = BenchLevenshtein(opts.reps + 1);
   const std::vector<CharKernelPoint> chars = BenchCharKernels(opts.reps + 1);
   std::vector<E2ePoint> e2e;
   e2e.push_back(BenchEndToEnd(DatasetId::kProducts, opts));
   e2e.push_back(BenchEndToEnd(DatasetId::kBooks, opts));
 
-  WriteJson(opts, kernels, lev, chars, e2e, "BENCH_kernels.json");
+  WriteJson(opts, env.profile.name, kernels, columns, intersections, lev,
+            chars, e2e, "BENCH_kernels.json");
   std::printf("wrote BENCH_kernels.json\n");
 }
 

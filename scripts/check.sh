@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build-and-test gate for emdbg.
 #
-#   scripts/check.sh                 # release build + full test suite
+#   scripts/check.sh                 # release build (fails on any
+#                                    #   warning) + full test suite
 #   scripts/check.sh asan            # AddressSanitizer build + tests
 #   scripts/check.sh tsan            # ThreadSanitizer build + the
 #                                    #   thread-pool / parallel-matcher /
@@ -76,7 +77,20 @@ run_mode() {
   fi
 
   echo "==> [$mode] build"
-  cmake --build "$dir" -j "$jobs"
+  if [ "$mode" = release ]; then
+    # The release build stays warning-free: any compiler or linker warning
+    # it prints fails the check. Only the files this build compiles are
+    # seen, so CI (a clean tree) checks every one.
+    local log="$dir/build.log"
+    cmake --build "$dir" -j "$jobs" 2>&1 | tee "$log"
+    if grep -q "warning:" "$log"; then
+      echo "release build printed warnings:" >&2
+      grep "warning:" "$log" >&2
+      exit 1
+    fi
+  else
+    cmake --build "$dir" -j "$jobs"
+  fi
 
   echo "==> [$mode] test"
   if [ "$mode" = tsan ] && [ "${EMDBG_TSAN_ALL:-0}" != 1 ]; then

@@ -214,6 +214,7 @@ MatchResult DebugSession::BatchRun(const RunControl& control) {
     // directory is required.
     ShardedMatchDriver driver(ShardedMatchDriver::Options{
         .shard_pairs = options_.shard_pairs,
+        .spill_dir = {},
         .budget = options_.budget,
         .pool = pool_.get(),
         .block_size = options_.block_size,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <span>
 #include <string>
 
 #include "src/text/similarity_registry.h"
@@ -28,9 +30,42 @@ void ForEachRow(ThreadPool* pool, uint32_t rows, Fn&& fn) {
 /// round-trip per ~256 KB of cache growth, not per token list.
 constexpr size_t kCacheBillChunk = 256 * 1024;
 
-size_t OneTokenIdsBytes(const TokenIds& ids) {
-  return sizeof(TokenIds) +
-         (ids.doc.capacity() + ids.sorted.capacity()) * sizeof(TokenId);
+/// Fills `col` with one sorted-unique row per table row: row r gets room
+/// for capacity(r) ids, fill(r, out) writes its row there and returns how
+/// many ids it kept, and the gaps are then closed in row order. Rows fan
+/// out over `pool`; no allocation per row. False when the column would
+/// outgrow its 32-bit offsets.
+template <typename Capacity, typename Fill>
+bool BuildSortedRows(uint32_t rows, ThreadPool* pool, Capacity&& capacity,
+                     Fill&& fill, IdColumn& col) {
+  col.offsets.resize(size_t{rows} + 1);
+  size_t total = 0;
+  for (uint32_t row = 0; row < rows; ++row) {
+    col.offsets[row] = static_cast<uint32_t>(total);
+    total += capacity(row);
+    if (total > UINT32_MAX) return false;
+  }
+  col.ids.resize(total);
+  std::vector<uint32_t> kept(rows);
+  ForEachRow(pool, rows, [&](uint32_t row) {
+    kept[row] = static_cast<uint32_t>(
+        fill(row, col.ids.data() + col.offsets[row]));
+  });
+  uint32_t end = 0;
+  for (uint32_t row = 0; row < rows; ++row) {
+    const uint32_t begin = col.offsets[row];
+    col.offsets[row] = end;
+    if (kept[row] != 0) {
+      std::memmove(col.ids.data() + end, col.ids.data() + begin,
+                   kept[row] * sizeof(TokenId));
+    }
+    end += kept[row];
+  }
+  col.offsets[rows] = end;
+  // Capacity (what Bytes() bills) keeps the duplicates' slack: shrinking
+  // would copy the column once more to save a few percent.
+  col.ids.resize(end);
+  return true;
 }
 
 }  // namespace
@@ -39,25 +74,15 @@ PairContext::PairContext(const Table& a, const Table& b,
                          const FeatureCatalog& catalog, Options options)
     : a_(a), b_(b), catalog_(catalog), options_(options),
       budget_(options.budget) {
-  if (options_.cache_tokens) {
-    cache_a_.words.resize(a_.num_attributes() * a_.num_rows());
-    cache_a_.qgrams.resize(a_.num_attributes() * a_.num_rows());
-    cache_b_.words.resize(b_.num_attributes() * b_.num_rows());
-    cache_b_.qgrams.resize(b_.num_attributes() * b_.num_rows());
-    if (options_.intern_tokens) {
-      interner_ = std::make_unique<TokenInterner>();
-      idc_a_.words.resize(cache_a_.words.size());
-      idc_a_.qgrams.resize(cache_a_.qgrams.size());
-      idc_a_.word_tf.resize(cache_a_.words.size());
-      idc_a_.words_built.assign(a_.num_attributes(), false);
-      idc_a_.qgrams_built.assign(a_.num_attributes(), false);
-      idc_a_.tf_built.assign(a_.num_attributes(), false);
-      idc_b_.words.resize(cache_b_.words.size());
-      idc_b_.qgrams.resize(cache_b_.qgrams.size());
-      idc_b_.word_tf.resize(cache_b_.words.size());
-      idc_b_.words_built.assign(b_.num_attributes(), false);
-      idc_b_.qgrams_built.assign(b_.num_attributes(), false);
-      idc_b_.tf_built.assign(b_.num_attributes(), false);
+  if (options_.cache_tokens && options_.intern_tokens) {
+    interner_ = std::make_unique<TokenInterner>();
+    for (const bool table_b : {false, true}) {
+      IdCache& idc = table_b ? idc_b_ : idc_a_;
+      const size_t attrs = (table_b ? b_ : a_).num_attributes();
+      idc.word_docs.resize(attrs);
+      idc.words.resize(attrs);
+      idc.qgrams.resize(attrs);
+      idc.tf_built.assign(attrs, false);
     }
   }
 }
@@ -124,6 +149,15 @@ void PairContext::ResyncBillingSerial() {
   }
 }
 
+std::vector<std::unique_ptr<TokenList>>& PairContext::TokenSlots(
+    bool table_b, bool qgrams) {
+  const Table& table = table_b ? b_ : a_;
+  TokenCache& cache = table_b ? cache_b_ : cache_a_;
+  auto& slots = qgrams ? cache.qgrams : cache.words;
+  if (slots.empty()) slots.resize(table.num_attributes() * table.num_rows());
+  return slots;
+}
+
 const TokenList* PairContext::CachedTokens(bool table_b, AttrIndex attr,
                                            uint32_t row, bool qgrams) {
   if (!options_.cache_tokens ||
@@ -131,8 +165,7 @@ const TokenList* PairContext::CachedTokens(bool table_b, AttrIndex attr,
     return nullptr;
   }
   const Table& table = table_b ? b_ : a_;
-  TokenCache& cache = table_b ? cache_b_ : cache_a_;
-  auto& slots = qgrams ? cache.qgrams : cache.words;
+  auto& slots = TokenSlots(table_b, qgrams);
   const size_t slot = attr * table.num_rows() + row;
   if (slots[slot] == nullptr) {
     const std::string& text = table.Value(row, attr);
@@ -154,47 +187,63 @@ const TokenList* PairContext::CachedTokens(bool table_b, AttrIndex attr,
 bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
                                 ThreadPool* pool) {
   IdCache& idc = table_b ? idc_b_ : idc_a_;
-  auto& built = qgrams ? idc.qgrams_built : idc.words_built;
-  if (built[attr]) return true;
+  IdColumn& set = (qgrams ? idc.qgrams : idc.words)[attr];
+  if (set.built()) return true;
   if (id_degraded_.load(std::memory_order_relaxed)) return false;
   const Table& table = table_b ? b_ : a_;
-  auto& slots = qgrams ? idc.qgrams : idc.words;
   const uint32_t rows = table.num_rows();
-  // Abandons a half-built column so billing and slots stay consistent.
+  IdColumn& docs = idc.word_docs[attr];
+  // Abandons a half-built column so billing and columns stay consistent.
   auto abandon = [&]() {
-    for (uint32_t row = 0; row < rows; ++row) {
-      slots[attr * rows + row].reset();
-    }
+    set = IdColumn{};
+    if (!qgrams) docs = IdColumn{};
     id_degraded_.store(true, std::memory_order_relaxed);
     ResyncBillingSerial();
     return false;
   };
-  // Serial phase: interning mutates the shared dictionary. Tokenization is
-  // usually already done (Prewarm fills token slots in parallel first).
-  for (uint32_t row = 0; row < rows; ++row) {
-    const TokenList* tokens = CachedTokens(table_b, attr, row, qgrams);
-    // Token caching degraded mid-column: the id path needs the raw token
-    // lists, so this column cannot finish.
-    if (tokens == nullptr) return abandon();
-    auto ids = std::make_unique<TokenIds>();
-    ids->doc = InternDocIds(*tokens, *interner_);
-    slots[attr * rows + row] = std::move(ids);
+  bool ok = false;
+  if (qgrams) {
+    // Rows share no state: codes come straight from each row's bytes.
+    ok = BuildSortedRows(
+        rows, pool,
+        [&](uint32_t row) {
+          return QGramCodeCapacity(table.Value(row, attr).size());
+        },
+        [&](uint32_t row, TokenId* out) {
+          return SortedQGramCodes(table.Value(row, attr), out);
+        },
+        set);
+  } else {
+    // Serial phase: interning mutates the shared dictionary.
+    docs.offsets.resize(size_t{rows} + 1);
+    std::string buf;
+    for (uint32_t row = 0; row < rows; ++row) {
+      docs.offsets[row] = static_cast<uint32_t>(docs.ids.size());
+      InternWordIds(table.Value(row, attr), *interner_, buf, docs.ids);
+    }
+    docs.offsets[rows] = static_cast<uint32_t>(docs.ids.size());
+    // Parallel phase: per-row sorting reads only the row's own ids.
+    ok = docs.ids.size() <= UINT32_MAX &&
+         BuildSortedRows(
+             rows, pool,
+             [&](uint32_t row) {
+               return docs.offsets[row + 1] - docs.offsets[row];
+             },
+             [&](uint32_t row, TokenId* out) {
+               const std::span<const TokenId> doc = docs.Row(row);
+               TokenId* const out_end = std::copy(doc.begin(), doc.end(), out);
+               std::sort(out, out_end);
+               return static_cast<size_t>(std::unique(out, out_end) - out);
+             },
+             set);
   }
-  // Parallel phase: per-row sorting touches distinct slots, reads nothing
-  // shared.
-  ForEachRow(pool, rows, [&](uint32_t row) {
-    TokenIds& ids = *slots[attr * rows + row];
-    ids.sorted = SortedUniqueIds(ids.doc);
-  });
-  // Bill the column (id arrays + whatever the dictionary grew by). On
-  // denial, drop the column and degrade: the string kernels take over
-  // with identical values.
-  size_t bytes = TakeInternerGrowth();
-  for (uint32_t row = 0; row < rows; ++row) {
-    bytes += OneTokenIdsBytes(*slots[attr * rows + row]);
-  }
+  if (!ok) return abandon();
+  // Bill the column (ids + whatever the dictionary grew by). On denial,
+  // drop the column and degrade: the string kernels take over with
+  // identical values.
+  size_t bytes = TakeInternerGrowth() + set.Bytes();
+  if (!qgrams) bytes += docs.Bytes();
   if (!BillBytes(bytes)) return abandon();
-  built[attr] = true;
   return true;
 }
 
@@ -205,16 +254,19 @@ bool PairContext::BuildTfColumn(bool table_b, AttrIndex attr,
   if (!BuildIdColumn(table_b, attr, /*qgrams=*/false, pool)) return false;
   const Table& table = table_b ? b_ : a_;
   const uint32_t rows = table.num_rows();
+  if (idc.word_tf.empty()) {
+    idc.word_tf.resize(table.num_attributes() * rows);
+  }
   // Rank-ordered vectors are built only here (and the TF-IDF weights from
   // them), so this is the one place the snapshot is refreshed: after the
   // column's ids are interned, before the sort. The interner reports its
   // bytes (DictionaryBytes), so they are billed with its growth.
   ranks_ = interner_->LexRanks();
   const auto ranks = ranks_;
+  const IdColumn& docs = idc.word_docs[attr];
   ForEachRow(pool, rows, [&](uint32_t row) {
-    const size_t slot = attr * rows + row;
-    idc.word_tf[slot] = std::make_unique<IdTfVector>(
-        MakeIdTfVector(idc.words[slot]->doc, *ranks));
+    idc.word_tf[attr * rows + row] =
+        std::make_unique<IdTfVector>(MakeIdTfVector(docs.Row(row), *ranks));
   });
   size_t bytes = TakeInternerGrowth();
   for (uint32_t row = 0; row < rows; ++row) {
@@ -282,16 +334,11 @@ PairContext::ModelIdCache& PairContext::EnsureModelIds(AttrIndex attr_a,
   return mc;
 }
 
-const TokenIds* PairContext::CachedIds(bool table_b, AttrIndex attr,
-                                       uint32_t row, bool qgrams) {
+const IdColumn* PairContext::SetColumn(bool table_b, AttrIndex attr,
+                                       bool qgrams) {
+  if (!BuildIdColumn(table_b, attr, qgrams, nullptr)) return nullptr;
   IdCache& idc = table_b ? idc_b_ : idc_a_;
-  const auto& built = qgrams ? idc.qgrams_built : idc.words_built;
-  if (!built[attr] && !BuildIdColumn(table_b, attr, qgrams, nullptr)) {
-    return nullptr;
-  }
-  const Table& table = table_b ? b_ : a_;
-  const auto& slots = qgrams ? idc.qgrams : idc.words;
-  return slots[attr * table.num_rows() + row].get();
+  return &(qgrams ? idc.qgrams : idc.words)[attr];
 }
 
 void PairContext::Prewarm(const std::vector<FeatureId>& features,
@@ -305,8 +352,32 @@ void PairContext::Prewarm(const std::vector<FeatureId>& features,
   }
   if (!options_.cache_tokens) return;
 
-  // Deduplicated (table, attribute, token kind) tokenization tasks —
-  // several features usually share attributes.
+  // Id phase: build every id structure the features' fast paths will
+  // read, so concurrent ComputeFeature calls stay read-only.
+  if (interner_ != nullptr) {
+    for (const FeatureId f : features) {
+      const Feature& feature = catalog_.feature(f);
+      const SimFunctionInfo& info = GetSimFunctionInfo(feature.fn);
+      if (!info.id_path) continue;
+      const bool qgrams = info.tokens == TokenNeed::kQGram3;
+      BuildIdColumn(false, feature.attr_a, qgrams, pool);
+      BuildIdColumn(true, feature.attr_b, qgrams, pool);
+      if (feature.fn == SimFunction::kCosine) {
+        BuildTfColumn(false, feature.attr_a, pool);
+        BuildTfColumn(true, feature.attr_b, pool);
+      }
+      if (info.needs_tfidf) {
+        (void)EnsureModelIds(feature.attr_a, feature.attr_b, pool);
+      }
+    }
+    // Every token feature has an id path, which reads no token list.
+    // Only when budget pressure dropped an id structure do its features
+    // fall back to the string kernels, whose token lists are filled next.
+    if (!id_path_degraded()) return;
+  }
+
+  // String path: deduplicated (table, attribute, token kind)
+  // tokenization tasks — several features usually share attributes.
   struct Task {
     bool table_b;
     AttrIndex attr;
@@ -326,40 +397,14 @@ void PairContext::Prewarm(const std::vector<FeatureId>& features,
       }
     }
   }
-
   for (const Task& t : tasks) {
-    const uint32_t rows =
-        t.table_b ? b_.num_rows() : a_.num_rows();
-    if (pool != nullptr && pool->num_workers() > 1) {
-      // Each row fills a distinct cache slot: safe without locking.
-      pool->ParallelFor(rows, [&](size_t, size_t row) {
-        (void)CachedTokens(t.table_b, t.attr, static_cast<uint32_t>(row),
-                           t.qgrams);
-      });
-    } else {
-      for (uint32_t row = 0; row < rows; ++row) {
-        (void)CachedTokens(t.table_b, t.attr, row, t.qgrams);
-      }
-    }
-  }
-
-  // Id phase: build every interned-id structure the features' fast paths
-  // will read, so concurrent ComputeFeature calls stay read-only.
-  if (interner_ == nullptr) return;
-  for (const FeatureId f : features) {
-    const Feature& feature = catalog_.feature(f);
-    const SimFunctionInfo& info = GetSimFunctionInfo(feature.fn);
-    if (!info.id_path) continue;
-    const bool qgrams = info.tokens == TokenNeed::kQGram3;
-    BuildIdColumn(false, feature.attr_a, qgrams, pool);
-    BuildIdColumn(true, feature.attr_b, qgrams, pool);
-    if (feature.fn == SimFunction::kCosine) {
-      BuildTfColumn(false, feature.attr_a, pool);
-      BuildTfColumn(true, feature.attr_b, pool);
-    }
-    if (info.needs_tfidf) {
-      (void)EnsureModelIds(feature.attr_a, feature.attr_b, pool);
-    }
+    // Sized here, serially; each row then fills a distinct slot, safe
+    // without locking.
+    (void)TokenSlots(t.table_b, t.qgrams);
+    ForEachRow(pool, t.table_b ? b_.num_rows() : a_.num_rows(),
+               [&](uint32_t row) {
+                 (void)CachedTokens(t.table_b, t.attr, row, t.qgrams);
+               });
   }
 }
 
@@ -372,18 +417,20 @@ bool PairContext::TryComputeFeatureIds(const Feature& feature,
     case SimFunction::kOverlap:
     case SimFunction::kTrigram: {
       const bool qgrams = info.tokens == TokenNeed::kQGram3;
-      const TokenIds* ia = CachedIds(false, feature.attr_a, pair.a, qgrams);
-      const TokenIds* ib = CachedIds(true, feature.attr_b, pair.b, qgrams);
-      if (ia == nullptr || ib == nullptr) return false;
+      const IdColumn* ca = SetColumn(false, feature.attr_a, qgrams);
+      const IdColumn* cb = SetColumn(true, feature.attr_b, qgrams);
+      if (ca == nullptr || cb == nullptr) return false;
+      const std::span<const TokenId> ia = ca->Row(pair.a);
+      const std::span<const TokenId> ib = cb->Row(pair.b);
       switch (feature.fn) {
         case SimFunction::kDice:
-          *value = IdDice(ia->sorted, ib->sorted);
+          *value = IdDice(ia, ib);
           return true;
         case SimFunction::kOverlap:
-          *value = IdOverlap(ia->sorted, ib->sorted);
+          *value = IdOverlap(ia, ib);
           return true;
         default:  // Jaccard and Trigram (= Jaccard over 3-grams)
-          *value = IdJaccard(ia->sorted, ib->sorted);
+          *value = IdJaccard(ia, ib);
           return true;
       }
     }
@@ -400,14 +447,13 @@ bool PairContext::TryComputeFeatureIds(const Feature& feature,
       return true;
     }
     case SimFunction::kMongeElkan: {
-      const TokenIds* ia = CachedIds(false, feature.attr_a, pair.a, false);
-      const TokenIds* ib = CachedIds(true, feature.attr_b, pair.b, false);
-      const TokenList* ta = CachedTokens(false, feature.attr_a, pair.a, false);
-      const TokenList* tb = CachedTokens(true, feature.attr_b, pair.b, false);
-      if (ia == nullptr || ib == nullptr || ta == nullptr || tb == nullptr) {
-        return false;
-      }
-      *value = IdMongeElkan(*ta, *tb, *ia, *ib);
+      const IdColumn* ca = SetColumn(false, feature.attr_a, false);
+      const IdColumn* cb = SetColumn(true, feature.attr_b, false);
+      if (ca == nullptr || cb == nullptr) return false;
+      *value = IdMongeElkan(idc_a_.word_docs[feature.attr_a].Row(pair.a),
+                            ca->Row(pair.a),
+                            idc_b_.word_docs[feature.attr_b].Row(pair.b),
+                            cb->Row(pair.b), *interner_);
       return true;
     }
     case SimFunction::kTfIdf: {
@@ -508,31 +554,23 @@ void PairContext::ComputeFeatureBlock(FeatureId f, const PairId* pairs,
       case SimFunction::kDice:
       case SimFunction::kOverlap:
       case SimFunction::kTrigram: {
-        if (!BuildIdColumn(false, feature.attr_a, qgrams, nullptr) ||
-            !BuildIdColumn(true, feature.attr_b, qgrams, nullptr)) {
-          break;
-        }
-        const auto& slots_a = qgrams ? idc_a_.qgrams : idc_a_.words;
-        const auto& slots_b = qgrams ? idc_b_.qgrams : idc_b_.words;
-        const size_t base_a = feature.attr_a * a_.num_rows();
-        const size_t base_b = feature.attr_b * b_.num_rows();
+        const IdColumn* ca = SetColumn(false, feature.attr_a, qgrams);
+        const IdColumn* cb = SetColumn(true, feature.attr_b, qgrams);
+        if (ca == nullptr || cb == nullptr) break;
         if (feature.fn == SimFunction::kDice) {
           for_each_lane([&](size_t i) {
             out[i] = static_cast<float>(
-                IdDice(slots_a[base_a + pairs[i].a]->sorted,
-                       slots_b[base_b + pairs[i].b]->sorted));
+                IdDice(ca->Row(pairs[i].a), cb->Row(pairs[i].b)));
           });
         } else if (feature.fn == SimFunction::kOverlap) {
           for_each_lane([&](size_t i) {
             out[i] = static_cast<float>(
-                IdOverlap(slots_a[base_a + pairs[i].a]->sorted,
-                          slots_b[base_b + pairs[i].b]->sorted));
+                IdOverlap(ca->Row(pairs[i].a), cb->Row(pairs[i].b)));
           });
         } else {  // Jaccard and Trigram (= Jaccard over 3-grams)
           for_each_lane([&](size_t i) {
             out[i] = static_cast<float>(
-                IdJaccard(slots_a[base_a + pairs[i].a]->sorted,
-                          slots_b[base_b + pairs[i].b]->sorted));
+                IdJaccard(ca->Row(pairs[i].a), cb->Row(pairs[i].b)));
           });
         }
         return;
@@ -616,15 +654,9 @@ size_t CacheBytes(const std::vector<std::unique_ptr<TokenList>>& slots) {
   return bytes;
 }
 
-size_t IdSlotBytes(const std::vector<std::unique_ptr<TokenIds>>& slots) {
-  size_t bytes = slots.capacity() * sizeof(std::unique_ptr<TokenIds>);
-  for (const auto& slot : slots) {
-    if (slot != nullptr) {
-      bytes += sizeof(TokenIds) +
-               (slot->doc.capacity() + slot->sorted.capacity()) *
-                   sizeof(TokenId);
-    }
-  }
+size_t ColumnBytes(const std::vector<IdColumn>& columns) {
+  size_t bytes = 0;
+  for (const IdColumn& col : columns) bytes += col.Bytes();
   return bytes;
 }
 
@@ -661,8 +693,8 @@ size_t PairContext::TokenCacheBytes() const {
 size_t PairContext::IdCacheBytes() const {
   size_t bytes = 0;
   for (const IdCache* idc : {&idc_a_, &idc_b_}) {
-    bytes += IdSlotBytes(idc->words) + IdSlotBytes(idc->qgrams) +
-             TfSlotBytes(idc->word_tf);
+    bytes += ColumnBytes(idc->word_docs) + ColumnBytes(idc->words) +
+             ColumnBytes(idc->qgrams) + TfSlotBytes(idc->word_tf);
   }
   for (const auto& [key, mc] : model_ids_) {
     bytes += mc.idf_by_id.capacity() * sizeof(double);
@@ -671,20 +703,26 @@ size_t PairContext::IdCacheBytes() const {
   return bytes;
 }
 
-void PairContext::ClearTokenCaches() {
-  for (auto& slot : cache_a_.words) slot.reset();
-  for (auto& slot : cache_a_.qgrams) slot.reset();
-  for (auto& slot : cache_b_.words) slot.reset();
-  for (auto& slot : cache_b_.qgrams) slot.reset();
+void PairContext::ClearIdStructures() {
   for (IdCache* idc : {&idc_a_, &idc_b_}) {
-    for (auto& slot : idc->words) slot.reset();
-    for (auto& slot : idc->qgrams) slot.reset();
-    for (auto& slot : idc->word_tf) slot.reset();
-    std::fill(idc->words_built.begin(), idc->words_built.end(), false);
-    std::fill(idc->qgrams_built.begin(), idc->qgrams_built.end(), false);
+    for (auto* columns : {&idc->word_docs, &idc->words, &idc->qgrams}) {
+      for (IdColumn& col : *columns) col = IdColumn{};
+    }
+    idc->word_tf.clear();
+    idc->word_tf.shrink_to_fit();
     std::fill(idc->tf_built.begin(), idc->tf_built.end(), false);
   }
   model_ids_.clear();
+}
+
+void PairContext::ClearTokenCaches() {
+  for (TokenCache* cache : {&cache_a_, &cache_b_}) {
+    for (auto* slots : {&cache->words, &cache->qgrams}) {
+      slots->clear();
+      slots->shrink_to_fit();
+    }
+  }
+  ClearIdStructures();
   token_degraded_.store(false, std::memory_order_relaxed);
   id_degraded_.store(false, std::memory_order_relaxed);
   ResyncBillingSerial();
@@ -692,15 +730,7 @@ void PairContext::ClearTokenCaches() {
 
 size_t PairContext::DropIdCaches() {
   const size_t before = IdCacheBytes();
-  for (IdCache* idc : {&idc_a_, &idc_b_}) {
-    for (auto& slot : idc->words) slot.reset();
-    for (auto& slot : idc->qgrams) slot.reset();
-    for (auto& slot : idc->word_tf) slot.reset();
-    std::fill(idc->words_built.begin(), idc->words_built.end(), false);
-    std::fill(idc->qgrams_built.begin(), idc->qgrams_built.end(), false);
-    std::fill(idc->tf_built.begin(), idc->tf_built.end(), false);
-  }
-  model_ids_.clear();
+  ClearIdStructures();
   const size_t freed = before - IdCacheBytes();
   ResyncBillingSerial();
   return freed;

@@ -23,28 +23,31 @@ namespace emdbg {
 ///
 /// The context owns two kinds of cross-pair state that are *not* the
 /// paper's memo:
-///   * per-record token caches (a record's title is tokenized once, not
-///     once per pair it appears in) — disable via Options::cache_tokens to
-///     get the paper's "every predicate is a black box computed from
+///   * per-record token structures (a record's title is tokenized once,
+///     not once per pair it appears in) — disable via Options::cache_tokens
+///     to get the paper's "every predicate is a black box computed from
 ///     scratch" rudimentary setting;
 ///   * TF-IDF corpus models per attribute pair (document-frequency tables
 ///     are corpus-level state of the similarity function itself and are
 ///     always cached).
 ///
-/// On top of the raw token lists the context keeps an interned integer-id
-/// representation (Options::intern_tokens, on by default): a TokenInterner
-/// maps every distinct token to a dense uint32 id, and each (record, attr)
-/// slot caches sorted-unique id arrays, lex-ordered term-frequency vectors
-/// and id-indexed TF-IDF weight vectors. The set-family kernels (Jaccard,
-/// Dice, overlap, trigram, cosine, TF-IDF, soft TF-IDF, Monge-Elkan) then
-/// run over integer spans instead of heap-allocated strings — same doubles
-/// bit-for-bit (see src/text/id_kernels.h), several times faster. Id
-/// structures are built a whole column at a time on first touch or during
-/// Prewarm.
+/// By default (Options::intern_tokens) the token structures are integer id
+/// columns, read straight from the attribute bytes: word tokens interned
+/// to dense uint32 ids by a TokenInterner (document order and
+/// sorted-unique sets), 3-grams packed into sorted-unique 24-bit codes
+/// (no strings, no interning), lex-ordered term-frequency vectors and
+/// id-indexed TF-IDF weight vectors. The set-family kernels (Jaccard,
+/// Dice, overlap, trigram, cosine, TF-IDF, soft TF-IDF, Monge-Elkan) run
+/// over them — same doubles bit-for-bit (see src/text/id_kernels.h),
+/// several times faster. Id columns are built a whole column at a time on
+/// first touch or during Prewarm. Per-record token *lists* (strings) are
+/// cached only for the string kernels: with interning off, or for
+/// features whose id structures budget pressure dropped.
 class PairContext {
  public:
   struct Options {
-    /// Cache word/q-gram token lists per (table, row, attribute).
+    /// Cache per-record token structures per (table, row, attribute): the
+    /// id columns below, or token lists for the string kernels.
     bool cache_tokens = true;
     /// Intern tokens to dense uint32 ids and evaluate the set-family
     /// kernels on integer arrays (requires cache_tokens; bit-identical
@@ -114,20 +117,22 @@ class PairContext {
   /// call from multiple threads concurrently (used by
   /// ParallelMemoMatcher). No-op slots when token caching is disabled.
   ///
-  /// With a pool, the per-record tokenization and the per-record id-array
-  /// sorting fan out across workers (distinct cache slots, no
-  /// synchronization needed); TF-IDF model construction and token
-  /// interning stay serial (corpus-level shared state). Re-warming an
-  /// already-warm context is cheap either way — only null slots tokenize.
+  /// With a pool, the q-gram code rows, the per-record id-array sorting
+  /// and any token-list fill fan out across workers (distinct rows, no
+  /// synchronization needed); TF-IDF model construction and word interning
+  /// stay serial (corpus-level shared state). Re-warming an already-warm
+  /// context is cheap either way — built columns are skipped.
   void Prewarm(const std::vector<FeatureId>& features,
                ThreadPool* pool = nullptr);
 
-  /// Approximate heap bytes held by the token caches.
+  /// Approximate heap bytes held by the token-list caches (string path
+  /// only; 0 while every token feature runs on id columns).
   size_t TokenCacheBytes() const;
 
-  /// Approximate heap bytes held by the interned-id caches (id arrays, tf
-  /// vectors, TF-IDF weight vectors; excludes the interner itself and its
-  /// rank snapshot, which TokenInterner::DictionaryBytes reports).
+  /// Approximate heap bytes held by the id caches (word-id and q-gram
+  /// code columns, tf vectors, TF-IDF weight vectors; excludes the
+  /// interner itself and its rank snapshot, which
+  /// TokenInterner::DictionaryBytes reports).
   size_t IdCacheBytes() const;
 
   /// The token dictionary, or nullptr when interning is disabled (exposed
@@ -140,11 +145,10 @@ class PairContext {
   /// recover once pressure passes. Serial-only (like the builds).
   void ClearTokenCaches();
 
-  /// Drops only the interned-id structures (id arrays, tf vectors, model
-  /// weight vectors) and releases their billing; token caches stay and
-  /// the string kernels keep the same results. The cross-session
-  /// reclaimer hook for idle sessions. Serial-only. Returns the bytes
-  /// released.
+  /// Drops only the id structures (id columns, tf vectors, model weight
+  /// vectors) and releases their billing; the string kernels keep the
+  /// same results. The cross-session reclaimer hook for idle sessions.
+  /// Serial-only. Returns the bytes released.
   size_t DropIdCaches();
 
   /// True once budget pressure disabled the respective cache layer (see
@@ -162,21 +166,23 @@ class PairContext {
   }
 
  private:
-  // Cached tokens for one table; slot index = attr * num_rows + row.
+  // Cached token lists of one table for the string kernels; slot index =
+  // attr * num_rows + row. Empty until the string path first needs one
+  // (sized serially: by CachedTokens or before Prewarm's parallel fill).
   struct TokenCache {
     std::vector<std::unique_ptr<TokenList>> words;
     std::vector<std::unique_ptr<TokenList>> qgrams;
   };
 
-  // Interned-id mirror of TokenCache, built a whole (attr, kind) column at
-  // a time so the interner mutates in one predictable (serial) place.
+  // Id columns of one table, per attribute, each built whole so the
+  // interner mutates in one predictable (serial) place.
   struct IdCache {
-    std::vector<std::unique_ptr<TokenIds>> words;
-    std::vector<std::unique_ptr<TokenIds>> qgrams;
+    std::vector<IdColumn> word_docs;  // word ids in document order
+    std::vector<IdColumn> words;      // sorted-unique word ids
+    std::vector<IdColumn> qgrams;     // sorted-unique 3-gram codes
+    // Slot index = attr * num_rows + row; sized by the first BuildTfColumn.
     std::vector<std::unique_ptr<IdTfVector>> word_tf;
-    std::vector<bool> words_built;   // per attr
-    std::vector<bool> qgrams_built;  // per attr
-    std::vector<bool> tf_built;      // per attr
+    std::vector<bool> tf_built;  // per attr
   };
 
   // Per TF-IDF model (attr_a, attr_b): idf-by-id table plus one
@@ -190,6 +196,10 @@ class PairContext {
 
   const TokenList* CachedTokens(bool table_b, AttrIndex attr, uint32_t row,
                                 bool qgrams);
+  /// One table's token-list slots of one kind, sized on first use.
+  /// Serial-only while still empty.
+  std::vector<std::unique_ptr<TokenList>>& TokenSlots(bool table_b,
+                                                      bool qgrams);
 
   /// One pair's value with the feature already resolved (no
   /// compute_count bump): the id fast path when available, else the
@@ -206,15 +216,17 @@ class PairContext {
                             const SimFunctionInfo& info, PairId pair,
                             double* value);
 
-  /// Built id arrays for one slot, or nullptr when the column is
-  /// unavailable under budget pressure.
-  const TokenIds* CachedIds(bool table_b, AttrIndex attr, uint32_t row,
-                            bool qgrams);
+  /// The sorted-unique column (word ids, or q-gram codes) of one
+  /// attribute, built on first touch (for words, with their
+  /// document-order column); nullptr when unavailable under budget
+  /// pressure.
+  const IdColumn* SetColumn(bool table_b, AttrIndex attr, bool qgrams);
 
-  /// Builds doc + sorted-unique id arrays for every row of one column.
-  /// Interning is serial; the per-row sorting fans out over `pool`.
-  /// False when the column is unavailable (billing denied → column
-  /// dropped, id path degraded).
+  /// Builds one attribute's id columns from the attribute bytes. Words:
+  /// interned serially in document order, then sorted-unique rows over
+  /// `pool`. Q-grams: code rows over `pool`, no interning. False when the
+  /// column is unavailable (billing denied → column dropped, id path
+  /// degraded).
   bool BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
                      ThreadPool* pool);
   /// Builds lex-ordered term-frequency vectors for one words column.
@@ -223,6 +235,10 @@ class PairContext {
   /// Callers must check `.built` (false under budget pressure).
   ModelIdCache& EnsureModelIds(AttrIndex attr_a, AttrIndex attr_b,
                                ThreadPool* pool);
+
+  /// Drops every id structure (columns, tf vectors, model weights)
+  /// without touching billing. Serial-only.
+  void ClearIdStructures();
 
   /// Bills `added` approximate cache bytes against the budget in chunks.
   /// False on denial (counted in budget_denials_); callers degrade.

@@ -818,7 +818,7 @@ void Server::WorkerLoop() {
       WriteResponse(req.conn, replay_resp);
     } else {
       close_session =
-          ExecuteRequest(token, entry, req, &deferred_resp, &executed_resp);
+          ExecuteRequest(entry, req, &deferred_resp, &executed_resp);
     }
 
     std::deque<Request> doomed;
@@ -869,8 +869,8 @@ void Server::WorkerLoop() {
   }
 }
 
-bool Server::ExecuteRequest(const std::string& token, SessionEntry& entry,
-                            Request& req, std::string* deferred_resp,
+bool Server::ExecuteRequest(SessionEntry& entry, Request& req,
+                            std::string* deferred_resp,
                             std::string* executed_resp) {
   if (FaultFire("serve.slow_task")) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

@@ -197,8 +197,8 @@ class Server {
   /// `executed_resp` receives the response that was written (empty when
   /// the request was dropped/expired), so the caller can record it in the
   /// session's idempotency window.
-  bool ExecuteRequest(const std::string& token, SessionEntry& entry,
-                      Request& req, std::string* deferred_resp,
+  bool ExecuteRequest(SessionEntry& entry, Request& req,
+                      std::string* deferred_resp,
                       std::string* executed_resp);
   std::string ExecuteSessionCommand(SessionEntry& entry, Request& req,
                                     bool* close_session);

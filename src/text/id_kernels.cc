@@ -1,9 +1,15 @@
 #include "src/text/id_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "src/text/jaro.h"
+#include "src/util/string_util.h"
 
 namespace emdbg {
 
@@ -15,11 +21,38 @@ std::vector<TokenId> InternDocIds(const TokenList& tokens,
   return ids;
 }
 
+void InternWordIds(std::string_view text, TokenInterner& interner,
+                   std::string& buf, std::vector<TokenId>& out) {
+  ForEachAlnumToken(text, buf, [&](std::string_view token) {
+    out.push_back(interner.Intern(token));
+  });
+}
+
 std::vector<TokenId> SortedUniqueIds(std::span<const TokenId> doc) {
   std::vector<TokenId> out(doc.begin(), doc.end());
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+size_t SortedQGramCodes(std::string_view text, TokenId* out) {
+  if (text.empty()) return 0;
+  constexpr TokenId kPad = '#';
+  constexpr TokenId kMask = 0xffffff;
+  // A rolling window over "##" + lower(text) + "##": one code per byte of
+  // text, then two for the trailing pad.
+  TokenId code = (kPad << 8) | kPad;
+  size_t count = 0;
+  for (const char c : text) {
+    code = ((code << 8) | static_cast<unsigned char>(AsciiToLower(c))) & kMask;
+    out[count++] = code;
+  }
+  for (int pad = 0; pad < 2; ++pad) {
+    code = ((code << 8) | kPad) & kMask;
+    out[count++] = code;
+  }
+  std::sort(out, out + count);
+  return static_cast<size_t>(std::unique(out, out + count) - out);
 }
 
 IdTfVector MakeIdTfVector(std::span<const TokenId> doc,
@@ -101,14 +134,47 @@ size_t IdIntersectionSize(std::span<const TokenId> a,
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return 0;
   if (b.size() / a.size() >= 16) return GallopIntersectionSize(a, b);
+  size_t i = 0;
+  size_t j = 0;
+  size_t count = 0;
+#if defined(__SSE2__)
+  // 4x4 blocks: a's lanes against b's lanes and three rotations of them
+  // compare every pair; the OR marks the a lanes with a partner. The
+  // block with the smaller maximum can meet no later element of the
+  // other array, so it advances (both on a tie). Matches with an element
+  // of an advanced block were counted in the block pair that retired it.
+  const size_t na4 = a.size() & ~size_t{3};
+  const size_t nb4 = b.size() & ~size_t{3};
+  while (i < na4 && j < nb4) {
+    const __m128i va =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.data() + i));
+    const __m128i vb =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.data() + j));
+    const __m128i vb1 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1));
+    const __m128i vb2 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2));
+    const __m128i vb3 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3));
+    const __m128i eq = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi32(va, vb), _mm_cmpeq_epi32(va, vb1)),
+        _mm_or_si128(_mm_cmpeq_epi32(va, vb2), _mm_cmpeq_epi32(va, vb3)));
+    count += static_cast<size_t>(std::popcount(static_cast<unsigned>(
+        _mm_movemask_ps(_mm_castsi128_ps(eq)))));
+    const TokenId a_max = a[i + 3];
+    const TokenId b_max = b[j + 3];
+    i += a_max <= b_max ? 4 : 0;
+    j += b_max <= a_max ? 4 : 0;
+  }
+#endif
+  return count + IdIntersectionSizeScalar(a.subspan(i), b.subspan(j));
+}
+
+size_t IdIntersectionSizeScalar(std::span<const TokenId> a,
+                                std::span<const TokenId> b) {
   // Branch-light linear merge: advance via comparison results instead of
   // three-way branching.
   size_t i = 0;
   size_t j = 0;
   size_t count = 0;
-  const size_t na = a.size();
-  const size_t nb = b.size();
-  while (i < na && j < nb) {
+  while (i < a.size() && j < b.size()) {
     const TokenId x = a[i];
     const TokenId y = b[j];
     count += (x == y);
@@ -244,48 +310,52 @@ double IdSoftTfIdf(const IdWeightVector& a, const IdWeightVector& b,
   return std::min(score, 1.0);
 }
 
-double IdMongeElkan(const TokenList& a_tokens, const TokenList& b_tokens,
-                    const TokenIds& a_ids, const TokenIds& b_ids) {
-  const size_t n = a_tokens.size();
-  const size_t m = b_tokens.size();
+double IdMongeElkan(std::span<const TokenId> a_doc,
+                    std::span<const TokenId> a_set,
+                    std::span<const TokenId> b_doc,
+                    std::span<const TokenId> b_set,
+                    const TokenInterner& interner) {
+  const size_t n = a_doc.size();
+  const size_t m = b_doc.size();
   if (n == 0 || m == 0) return n == 0 && m == 0 ? 1.0 : 0.0;
-  // row_best[i] = max_j JW(a_i, b_j), the string path's a-to-b inner
+  // rows[i].best = max_j JW(a_i, b_j), the string path's a-to-b inner
   // loop; col_best is the same for one b_j against all of a. A token that
   // also occurs on the other side starts at exactly 1.0 = JW(t, t), the
-  // largest value Jaro-Winkler takes.
+  // largest value Jaro-Winkler takes. a's bytes are looked up once.
   // Token lists rarely exceed 32 tokens: no heap allocation per pair.
+  struct Row {
+    std::string_view text;
+    double best;
+  };
   constexpr size_t kInlineRows = 32;
-  double inline_rows[kInlineRows];
-  std::vector<double> heap_rows;
-  double* row_best = inline_rows;
+  Row inline_rows[kInlineRows];
+  std::vector<Row> heap_rows;
+  Row* rows = inline_rows;
   if (n > kInlineRows) {
     heap_rows.resize(n);
-    row_best = heap_rows.data();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    row_best[i] = std::binary_search(b_ids.sorted.begin(),
-                                     b_ids.sorted.end(), a_ids.doc[i])
-                      ? 1.0
-                      : 0.0;
+    rows = heap_rows.data();
   }
   JaroFixedSide side;
-  for (const std::string& ta : a_tokens) side.Clear(ta);
+  for (size_t i = 0; i < n; ++i) {
+    rows[i].text = interner.Text(a_doc[i]);
+    rows[i].best =
+        std::binary_search(b_set.begin(), b_set.end(), a_doc[i]) ? 1.0 : 0.0;
+    side.Clear(rows[i].text);
+  }
   double sum_b = 0.0;
   for (size_t j = 0; j < m; ++j) {
-    const std::string& tb = b_tokens[j];
-    double col_best = std::binary_search(a_ids.sorted.begin(),
-                                         a_ids.sorted.end(), b_ids.doc[j])
-                          ? 1.0
-                          : 0.0;
+    const std::string_view tb = interner.Text(b_doc[j]);
+    double col_best =
+        std::binary_search(a_set.begin(), a_set.end(), b_doc[j]) ? 1.0 : 0.0;
     const bool fixed = !tb.empty() && tb.size() <= JaroFixedSide::kMaxFixed;
     if (fixed) side.Set(tb);
     for (size_t i = 0; i < n; ++i) {
       // Neither maximum can move: skip the cell.
-      if (col_best == 1.0 && row_best[i] == 1.0) continue;
+      if (col_best == 1.0 && rows[i].best == 1.0) continue;
       // One score feeds both directions: JW is symmetric bit for bit.
-      const double jw = fixed ? side.JaroWinkler(a_tokens[i])
-                              : JaroWinklerSimilarity(tb, a_tokens[i]);
-      row_best[i] = std::max(row_best[i], jw);
+      const double jw = fixed ? side.JaroWinkler(rows[i].text)
+                              : JaroWinklerSimilarity(tb, rows[i].text);
+      rows[i].best = std::max(rows[i].best, jw);
       col_best = std::max(col_best, jw);
     }
     if (fixed) side.Clear(tb);
@@ -294,7 +364,7 @@ double IdMongeElkan(const TokenList& a_tokens, const TokenList& b_tokens,
   // Each direction sums its maxima in token order, as the string path
   // does; max itself does not depend on the order the cells came in.
   double sum_a = 0.0;
-  for (size_t i = 0; i < n; ++i) sum_a += row_best[i];
+  for (size_t i = 0; i < n; ++i) sum_a += rows[i].best;
   return (sum_a / static_cast<double>(n) + sum_b / static_cast<double>(m)) /
          2.0;
 }

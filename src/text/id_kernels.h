@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,13 +31,52 @@ struct TokenIds {
   std::vector<TokenId> sorted;  ///< sorted-unique by raw id value
 };
 
+/// Per-row id arrays of one (table, attribute) column, stored back to
+/// back: row r's ids are ids[offsets[r], offsets[r + 1]). One allocation
+/// per column, none per row.
+struct IdColumn {
+  std::vector<TokenId> ids;
+  std::vector<uint32_t> offsets;  ///< rows + 1 entries once built
+
+  bool built() const { return !offsets.empty(); }
+  std::span<const TokenId> Row(uint32_t row) const {
+    return {ids.data() + offsets[row], ids.data() + offsets[row + 1]};
+  }
+  /// Heap bytes held (capacities).
+  size_t Bytes() const {
+    return ids.capacity() * sizeof(TokenId) +
+           offsets.capacity() * sizeof(uint32_t);
+  }
+};
+
 /// Interns every token of `tokens` (mutating `interner`) and returns the
 /// document-order id list.
 std::vector<TokenId> InternDocIds(const TokenList& tokens,
                                   TokenInterner& interner);
 
+/// Interns the tokens AlnumTokenize(text) returns, in document order, and
+/// appends their ids to `out` — straight from the bytes, with no string per
+/// token (`buf` is scratch reused across calls).
+void InternWordIds(std::string_view text, TokenInterner& interner,
+                   std::string& buf, std::vector<TokenId>& out);
+
 /// Sorted-unique (by raw id value) copy of a document-order id list.
 std::vector<TokenId> SortedUniqueIds(std::span<const TokenId> doc);
+
+/// Most codes SortedQGramCodes writes for a value of `bytes` bytes.
+constexpr size_t QGramCodeCapacity(size_t bytes) {
+  return bytes == 0 ? 0 : bytes + 2;
+}
+
+/// The distinct 3-grams of QGramTokenize(text, 3) as 24-bit codes, sorted:
+/// each gram of the '#'-padded, ASCII-lowered bytes packs as
+/// (b0 << 16) | (b1 << 8) | b2 over its unsigned bytes. Equal grams give
+/// equal codes and distinct grams distinct ones (a literal '#' is the pad
+/// byte in both representations), so set sizes and intersections — and
+/// Jaccard over them — equal TrigramSimilarity's, with no string and no
+/// interning. Writes up to QGramCodeCapacity(text.size()) codes to `out`
+/// and returns how many are distinct (the prefix holding them).
+size_t SortedQGramCodes(std::string_view text, TokenId* out);
 
 /// Term-frequency vector in byte-lexicographic token order (the order
 /// std::map<std::string, int> iterates in), with the squared L2 norm
@@ -59,11 +100,20 @@ struct IdWeightVector {
 IdWeightVector MakeIdWeightVector(const IdTfVector& tf,
                                   std::span<const double> idf_by_id);
 
-/// |A ∩ B| over sorted-unique id arrays. Uses a branch-light linear merge,
-/// switching to galloping (exponential search) probes of the longer array
-/// when the lengths are heavily skewed.
+/// |A ∩ B| over sorted-unique id arrays. Heavily skewed lengths take
+/// galloping (exponential search) probes of the longer array. Otherwise
+/// SSE2 builds compare 4x4 blocks (each a lane against every b lane
+/// through three rotations of b, one popcount per block, then the block
+/// with the smaller maximum advances) and finish with
+/// IdIntersectionSizeScalar, which is all of it without SSE2. Both sets
+/// are duplicate-free, so each match is counted in exactly one block pair.
 size_t IdIntersectionSize(std::span<const TokenId> a,
                           std::span<const TokenId> b);
+
+/// The branch-light linear merge alone: IdIntersectionSize's tail, and its
+/// baseline and oracle in bench_kernels.
+size_t IdIntersectionSizeScalar(std::span<const TokenId> a,
+                                std::span<const TokenId> b);
 
 /// Set-overlap kernels over sorted-unique id arrays; same empty-input
 /// conventions as the string versions in set_similarity.h.
@@ -99,9 +149,14 @@ double IdSoftTfIdf(const IdWeightVector& a, const IdWeightVector& b,
 /// column are both at 1.0 is skipped. b's per-byte masks are written once
 /// per column (JaroFixedSide). Max does not depend on the order the cells
 /// come in, and each direction sums its maxima in token order, so the
-/// result is bit-identical to the two-pass string kernel.
-double IdMongeElkan(const TokenList& a_tokens, const TokenList& b_tokens,
-                    const TokenIds& a_ids, const TokenIds& b_ids);
+/// result is bit-identical to the two-pass string kernel. `*_doc` are the
+/// document-order ids (token bytes read through interner.Text), `*_set`
+/// their sorted-unique ids.
+double IdMongeElkan(std::span<const TokenId> a_doc,
+                    std::span<const TokenId> a_set,
+                    std::span<const TokenId> b_doc,
+                    std::span<const TokenId> b_set,
+                    const TokenInterner& interner);
 
 }  // namespace emdbg
 

@@ -50,14 +50,22 @@ constexpr std::array<SimFunctionInfo, kNumSimFunctions> kInfos = {{
      TokenNeed::kNone, false, false},
 }};
 
-std::string NormalizeName(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    if (c == ' ' || c == '-' || c == '_') continue;
-    out.push_back(AsciiToLower(c));
+/// True when `a` and `b` are the same name once spaces, dashes and
+/// underscores are dropped and ASCII letters folded: compared in place,
+/// with no normalized copy of either.
+bool SameName(std::string_view a, std::string_view b) {
+  const auto skip = [](std::string_view s, size_t i) {
+    while (i < s.size() && (s[i] == ' ' || s[i] == '-' || s[i] == '_')) ++i;
+    return i;
+  };
+  size_t i = skip(a, 0);
+  size_t j = skip(b, 0);
+  while (i < a.size() && j < b.size()) {
+    if (AsciiToLower(a[i]) != AsciiToLower(b[j])) return false;
+    i = skip(a, i + 1);
+    j = skip(b, j + 1);
   }
-  return out;
+  return i == a.size() && j == b.size();
 }
 
 }  // namespace
@@ -77,10 +85,8 @@ const std::vector<SimFunction>& AllSimFunctions() {
 }
 
 Result<SimFunction> SimFunctionFromName(std::string_view name) {
-  const std::string key = NormalizeName(name);
   for (const auto& info : kInfos) {
-    if (NormalizeName(info.name) == key ||
-        NormalizeName(info.display_name) == key) {
+    if (SameName(name, info.name) || SameName(name, info.display_name)) {
       return info.fn;
     }
   }

@@ -24,16 +24,10 @@ TokenList WhitespaceTokenize(std::string_view text) {
 
 TokenList AlnumTokenize(std::string_view text) {
   TokenList out;
-  std::string cur;
-  for (char c : text) {
-    if (IsAsciiAlnum(c)) {
-      cur.push_back(AsciiToLower(c));
-    } else if (!cur.empty()) {
-      out.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) out.push_back(std::move(cur));
+  std::string buf;
+  ForEachAlnumToken(text, buf, [&out](std::string_view token) {
+    out.emplace_back(token);
+  });
   return out;
 }
 

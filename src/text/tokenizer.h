@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/string_util.h"
+
 namespace emdbg {
 
 /// A token sequence in document order (duplicates preserved).
@@ -28,6 +30,24 @@ TokenList WhitespaceTokenize(std::string_view text);
 /// Maximal alphanumeric runs, lower-cased. "Sony DSC-W800" →
 /// {"sony","dsc","w800"}.
 TokenList AlnumTokenize(std::string_view text);
+
+/// Calls fn(token) for each token AlnumTokenize(text) returns, in order,
+/// without a string per token: `buf` receives the lower-cased text and each
+/// token is a view into it, valid until `buf` changes. AlnumTokenize runs
+/// through this scan, so the two agree by construction.
+template <typename Fn>
+void ForEachAlnumToken(std::string_view text, std::string& buf, Fn&& fn) {
+  buf.assign(text);
+  for (char& c : buf) c = AsciiToLower(c);
+  const size_t n = buf.size();
+  size_t i = 0;
+  while (i < n) {
+    while (i < n && !IsAsciiAlnum(buf[i])) ++i;
+    const size_t start = i;
+    while (i < n && IsAsciiAlnum(buf[i])) ++i;
+    if (i > start) fn(std::string_view(buf.data() + start, i - start));
+  }
+}
 
 /// Padded character q-grams over the lower-cased string. With q=3,
 /// "abc" → {"##a","#ab","abc","bc#","c##"} using '#' padding. Returns an

@@ -128,8 +128,9 @@ TEST_F(ExternalSortTest, EntrySorterReproducesStableSortByKey) {
   };
   std::vector<Flat> input;
   for (uint32_t i = 0; i < 30000; ++i) {
-    input.push_back(Flat{"k" + std::to_string(rng.Uniform(100)), i,
-                         rng.Uniform(2) == 1});
+    std::string key = "k";
+    key += std::to_string(rng.Uniform(100));
+    input.push_back(Flat{std::move(key), i, rng.Uniform(2) == 1});
   }
   std::vector<Flat> expected = input;
   std::stable_sort(expected.begin(), expected.end(),

@@ -50,6 +50,8 @@ TEST_F(PairContextTest, CachingDoesNotChangeValues) {
   const FeatureId tri =
       *catalog_.InternByName(SimFunction::kTrigram, "name", "name");
   PairContext cached(a_, b_, catalog_);
+  PairContext strings(a_, b_, catalog_,
+                      PairContext::Options{.intern_tokens = false});
   PairContext uncached(a_, b_, catalog_,
                        PairContext::Options{.cache_tokens = false});
   for (uint32_t i = 0; i < a_.num_rows(); ++i) {
@@ -58,9 +60,17 @@ TEST_F(PairContextTest, CachingDoesNotChangeValues) {
                        uncached.ComputeFeature(jac, {i, j}));
       EXPECT_DOUBLE_EQ(cached.ComputeFeature(tri, {i, j}),
                        uncached.ComputeFeature(tri, {i, j}));
+      EXPECT_DOUBLE_EQ(strings.ComputeFeature(jac, {i, j}),
+                       uncached.ComputeFeature(jac, {i, j}));
+      EXPECT_DOUBLE_EQ(strings.ComputeFeature(tri, {i, j}),
+                       uncached.ComputeFeature(tri, {i, j}));
     }
   }
-  EXPECT_GT(cached.TokenCacheBytes(), 0u);
+  // Token lists are cached for the string kernels only; the id path
+  // reads id columns built from the bytes.
+  EXPECT_GT(strings.TokenCacheBytes(), 0u);
+  EXPECT_EQ(cached.TokenCacheBytes(), 0u);
+  EXPECT_GT(cached.IdCacheBytes(), 0u);
   EXPECT_EQ(uncached.TokenCacheBytes(), 0u);
 }
 
@@ -100,11 +110,21 @@ TEST_F(PairContextTest, ComputeCountTracksCalls) {
 TEST_F(PairContextTest, ClearTokenCaches) {
   const FeatureId f =
       *catalog_.InternByName(SimFunction::kJaccard, "name", "name");
+  PairContext strings(a_, b_, catalog_,
+                      PairContext::Options{.intern_tokens = false});
+  strings.ComputeFeature(f, {0, 0});
+  EXPECT_GT(strings.TokenCacheBytes(), 0u);
+  strings.ClearTokenCaches();
+  EXPECT_EQ(strings.TokenCacheBytes(), 0u);
+  // Values still computable after the caches are dropped.
+  EXPECT_GE(strings.ComputeFeature(f, {0, 0}), 0.0);
+
   PairContext ctx(a_, b_, catalog_);
   ctx.ComputeFeature(f, {0, 0});
-  EXPECT_GT(ctx.TokenCacheBytes(), 0u);
+  EXPECT_EQ(ctx.TokenCacheBytes(), 0u);
+  EXPECT_GT(ctx.IdCacheBytes(), 0u);
   ctx.ClearTokenCaches();
-  // Values still computable after the caches are dropped.
+  EXPECT_EQ(ctx.IdCacheBytes(), 0u);
   EXPECT_GE(ctx.ComputeFeature(f, {0, 0}), 0.0);
 }
 

@@ -420,15 +420,24 @@ TEST(MongeElkanDifferentialTest, MatchesScalarJaroWinklerLoop) {
 }
 
 TEST(MongeElkanDifferentialTest, OnePassIdKernelMatchesScalarLoop) {
-  // The id kernel's one |a| x |b| pass against the two-pass reference:
-  // short tokens over small alphabets, tokens past 64 bytes (no fixed
-  // masks), bytes >= 0x80, and shared tokens (the exact-hit skip).
+  // The id kernel's one |a| x |b| pass, reading token bytes through the
+  // interner, against the two-pass reference: short tokens over small
+  // alphabets, tokens past 64 bytes (no fixed masks), bytes >= 0x80, and
+  // shared tokens (the exact-hit skip).
   const std::vector<TokenList> lists = RandomTokenLists(33, 4000);
   TokenInterner interner;
   MismatchLog log;
   for (size_t i = 0; i + 1 < lists.size(); i += 2) {
-    const TokenList& a = lists[i];
+    TokenList a = lists[i];
     TokenList b = lists[i + 1];
+    // Past the kernel's 32 stack rows: a takes the heap rows.
+    if (i % 200 == 0) {
+      for (size_t t = 0; a.size() < 40; ++t) {
+        a.push_back(lists[(i + t) % lists.size()].empty()
+                        ? "pad"
+                        : lists[(i + t) % lists.size()][0]);
+      }
+    }
     if (i % 4 == 0 && !a.empty()) b.push_back(a[i % a.size()]);
     TokenIds ia;
     ia.doc = InternDocIds(a, interner);
@@ -439,8 +448,9 @@ TEST(MongeElkanDifferentialTest, OnePassIdKernelMatchesScalarLoop) {
     const double want =
         (MongeElkanDirectedScalar(a, b) + MongeElkanDirectedScalar(b, a)) /
         2.0;
-    log.Check("id monge_elkan", IdMongeElkan(a, b, ia, ib), want, Joined(a),
-              Joined(b));
+    log.Check("id monge_elkan",
+              IdMongeElkan(ia.doc, ia.sorted, ib.doc, ib.sorted, interner),
+              want, Joined(a), Joined(b));
   }
   log.ExpectClean();
 }
@@ -544,6 +554,21 @@ TEST(JaroDifferentialTest, FeatureBlockOnProductsCorpus) {
       [](SimFunction fn, std::string_view a, std::string_view b) {
         return fn == SimFunction::kJaro ? JaroSimilarityScalar(a, b)
                                         : JaroWinklerSimilarityScalar(a, b);
+      });
+}
+
+TEST(MongeElkanDifferentialTest, FeatureBlockReadsInternerBytes) {
+  // PairContext's id columns hold no token strings: ComputeFeatureBlock
+  // reads every token's bytes through the interner, on every attribute of
+  // the corpus (empty values, numbers, single tokens and titles).
+  CheckFeatureBlocks(
+      {SimFunction::kMongeElkan},
+      [](SimFunction, std::string_view a, std::string_view b) {
+        const TokenList ta = AlnumTokenize(a);
+        const TokenList tb = AlnumTokenize(b);
+        return (MongeElkanDirectedScalar(ta, tb) +
+                MongeElkanDirectedScalar(tb, ta)) /
+               2.0;
       });
 }
 

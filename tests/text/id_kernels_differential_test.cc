@@ -4,6 +4,9 @@
 // off for all 16 similarity functions — across empty values, unicode
 // bytes, and duplicate-heavy token lists.
 
+#include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -91,6 +94,119 @@ TEST(IdKernelsDifferentialTest, QGramKernelsBitIdentical) {
   }
 }
 
+std::vector<TokenId> QGramCodes(std::string_view text) {
+  std::vector<TokenId> codes(QGramCodeCapacity(text.size()));
+  codes.resize(SortedQGramCodes(text, codes.data()));
+  return codes;
+}
+
+bool SameDouble(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+TEST(IdKernelsDifferentialTest, PackedQGramCodesMatchTrigramSimilarity) {
+  // Hand-picked edges: empty and 1-2 byte values, literal '#' (the pad
+  // byte), bytes >= 0x80, mixed case, repeated grams.
+  std::vector<std::string> values = {
+      "", "a", "A", "#", "##", "a#", "#a", "ab", "AB", "aB", "###", "a#b",
+      "\x80", "\xff\xfe", "caf\xc3\xa9", "CAF\xc3\x89", "\xc3\xa9#",
+      "aaaa", "AaAa", "x200 PRO", "##a##", "\x01\x02"};
+  values.push_back(std::string(1, '\0'));
+  values.push_back(std::string("a\0b", 3));
+  Rng rng(1907);
+  const char alphabet[] = {'a', 'B', 'c', '#', ' ', '1', '\x80', '\xe9',
+                           'Z', 'z', '\0'};
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string v;
+    const size_t len = rng.Uniform(trial < 600 ? 4 : 40);
+    for (size_t k = 0; k < len; ++k) {
+      v.push_back(alphabet[rng.Uniform(sizeof(alphabet))]);
+    }
+    values.push_back(std::move(v));
+  }
+  for (const std::string& v : values) {
+    // The codes are the sorted-unique grams, byte for byte.
+    const std::vector<TokenId> codes = QGramCodes(v);
+    const std::vector<std::string> grams = ToSortedUnique(QGramTokenize(v, 3));
+    ASSERT_EQ(codes.size(), grams.size()) << "value of " << v.size();
+    for (size_t k = 0; k < codes.size(); ++k) {
+      const char decoded[3] = {static_cast<char>(codes[k] >> 16),
+                               static_cast<char>(codes[k] >> 8),
+                               static_cast<char>(codes[k])};
+      EXPECT_EQ(std::string(decoded, 3), grams[k]);
+    }
+  }
+  for (size_t k = 0; k < values.size(); ++k) {
+    const std::string& x = values[k];
+    const std::string& y = values[(k * 7 + 3) % values.size()];
+    for (int order = 0; order < 2; ++order) {
+      const std::string& a = order == 0 ? x : y;
+      const std::string& b = order == 0 ? y : x;
+      const double want = TrigramSimilarity(a, b);
+      const double got = IdJaccard(QGramCodes(a), QGramCodes(b));
+      EXPECT_TRUE(SameDouble(got, want))
+          << got << " vs " << want << " on values of " << a.size()
+          << " and " << b.size() << " bytes";
+    }
+  }
+}
+
+TEST(IdKernelsDifferentialTest, WordIdsFromBytesMatchAlnumTokenize) {
+  Rng rng(1908);
+  TokenInterner interner;
+  std::string buf;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string text = RandomText(rng);
+    if (trial % 3 == 0) text += " Mixed-CASE,x\xc3\xa9y  9Z ";
+    std::vector<TokenId> from_bytes;
+    InternWordIds(text, interner, buf, from_bytes);
+    EXPECT_EQ(from_bytes, InternDocIds(AlnumTokenize(text), interner));
+  }
+}
+
+TEST(IdKernelsDifferentialTest, IntersectionMatchesStdAcrossBlockBoundaries) {
+  // Every size pair 0..70 crosses each 4-element block boundary of the
+  // SSE2 path on both sides; values from a small range give dense
+  // matches, a wide range sparse ones.
+  Rng rng(1909);
+  auto sorted_set = [&rng](size_t n, uint32_t range) {
+    std::vector<TokenId> v;
+    while (v.size() < n) {
+      v.push_back(static_cast<TokenId>(rng.Uniform(range)));
+      if (v.size() == n) {
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+      }
+    }
+    return v;
+  };
+  for (size_t na = 0; na <= 70; ++na) {
+    for (size_t nb = 0; nb <= 70; ++nb) {
+      for (const uint32_t range : {160u, 100000u}) {
+        const std::vector<TokenId> a = sorted_set(na, range);
+        const std::vector<TokenId> b = sorted_set(nb, range);
+        std::vector<TokenId> common;
+        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                              std::back_inserter(common));
+        ASSERT_EQ(IdIntersectionSize(a, b), common.size())
+            << "sizes " << na << " x " << nb << " range " << range;
+        ASSERT_EQ(IdIntersectionSize(b, a), common.size());
+      }
+    }
+  }
+  // Skewed sizes (>= 16x) take the galloping path.
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<TokenId> small = sorted_set(1 + rng.Uniform(6), 5000);
+    const std::vector<TokenId> large =
+        sorted_set(small.size() * 16 + rng.Uniform(900), 5000);
+    std::vector<TokenId> common;
+    std::set_intersection(small.begin(), small.end(), large.begin(),
+                          large.end(), std::back_inserter(common));
+    ASSERT_EQ(IdIntersectionSize(small, large), common.size());
+    ASSERT_EQ(IdIntersectionSize(large, small), common.size());
+  }
+}
+
 TEST(IdKernelsDifferentialTest, SkewedIntersectionsHitGallopPath) {
   Rng rng(11);
   TokenInterner interner;
@@ -167,7 +283,8 @@ TEST(IdKernelsDifferentialTest, MongeElkanBitIdentical) {
     const TokenList b = AlnumTokenize(RandomText(rng));
     const TokenIds ia = MakeIds(a, interner);
     const TokenIds ib = MakeIds(b, interner);
-    EXPECT_EQ(IdMongeElkan(a, b, ia, ib), MongeElkanSimilarity(a, b));
+    EXPECT_EQ(IdMongeElkan(ia.doc, ia.sorted, ib.doc, ib.sorted, interner),
+              MongeElkanSimilarity(a, b));
   }
 }
 

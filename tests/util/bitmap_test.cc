@@ -276,7 +276,9 @@ TEST(BitmapTest, AndNotSpanClearsOnlySpanBits) {
     bm.AndNotSpan(128, span.data(), n);
     EXPECT_EQ(bm.Count(), bm.size() - n) << "n=" << n;
     for (size_t i = 0; i < n; ++i) EXPECT_FALSE(bm.Get(128 + i));
-    if (n > 0) EXPECT_TRUE(bm.Get(128 + n));
+    if (n > 0) {
+      EXPECT_TRUE(bm.Get(128 + n));
+    }
   }
 }
 
