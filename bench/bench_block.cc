@@ -149,9 +149,7 @@ DatasetPoint BenchDataset(DatasetId dataset, bool selective,
   std::unique_ptr<PairContext> ctx;
   for (size_t rep = 0; rep < opts.reps; ++rep) {
     Stopwatch timer;
-    ctx = std::make_unique<PairContext>(
-        env.ds.a, env.ds.b, env.catalog,
-        PairContext::Options{.cache_tokens = true, .intern_tokens = true});
+    ctx = std::make_unique<PairContext>(env.ds.a, env.ds.b, env.catalog);
     point.context_ms =
         rep == 0 ? timer.ElapsedMillis()
                  : std::min(point.context_ms, timer.ElapsedMillis());
@@ -218,6 +216,7 @@ void WriteJson(const BenchOptions& opts,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"block\",\n");
+  WriteJsonProvenance(f);
   std::fprintf(f, "  \"scale\": %g,\n", opts.scale);
   std::fprintf(f, "  \"rules\": %zu,\n", opts.rules);
   std::fprintf(f, "  \"reps\": %zu,\n", opts.reps);

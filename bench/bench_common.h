@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "src/core/cost_model.h"
 #include "src/core/pair_context.h"
@@ -108,6 +109,22 @@ inline void PrintHeader(const char* title, const BenchOptions& opts,
       env.profile.name.c_str(), opts.scale, env.ds.a.num_rows(),
       env.ds.b.num_rows(), env.ds.candidates.size(),
       env.ds.true_matches.size(), opts.rules, opts.reps);
+}
+
+/// Writes the machine and build lines of a BENCH_*.json header (`nproc`,
+/// compiler, build type), each a member followed by a comma.
+/// EMDBG_BUILD_TYPE comes from bench/CMakeLists.txt.
+inline void WriteJsonProvenance(std::FILE* f) {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"compiler\": \"%s\",\n", compiler);
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", EMDBG_BUILD_TYPE);
 }
 
 }  // namespace emdbg::bench

@@ -32,7 +32,7 @@ void Run(const BenchOptions& opts) {
     for (size_t i = 0; i < n; ++i) subset.Add(env.ds.candidates.pair(i));
     double ms = 0.0;
     for (size_t rep = 0; rep < opts.reps; ++rep) {
-      // Fresh matcher + memo per rep; the shared token caches stay warm
+      // Fresh matcher + memo per rep; the shared id columns stay warm
       // (deliberate: we measure matching, not tokenization).
       MemoMatcher matcher;
       Stopwatch timer;

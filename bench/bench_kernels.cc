@@ -16,7 +16,7 @@
 ///     Needleman-Wunsch) against their *Scalar oracles at 8..256 chars
 ///     (Jaro up to 64: a longer b runs the oracle itself), with a flag
 ///     telling whether every result agreed bit for bit;
-///   * end-to-end MemoMatcher wall clock with interning off vs on, for two
+///   * end-to-end MemoMatcher wall clock on the id columns, for two
 ///     Table 2 dataset profiles (context construction + matching, so the
 ///     id path pays its own build cost), each with an estimated per-stage
 ///     breakdown: context build / feature kernels / memo-probe + rule
@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -97,8 +96,8 @@ struct IntersectionPoint {
 };
 
 /// Estimated per-stage wall-time decomposition of one end-to-end run:
-/// context construction (tokenize + intern + cache build), cold matching
-/// (kernels + memo probes + predicate eval), warm matching (same run on
+/// context construction, cold matching (column builds + kernels + memo
+/// probes + predicate eval), warm matching (same run on
 /// the now-full memo: probes + predicates + orchestration only), and the
 /// kernel share inferred as cold − warm.
 struct E2eStages {
@@ -111,10 +110,7 @@ struct E2eStages {
 struct E2ePoint {
   std::string dataset;
   size_t candidates = 0;
-  double string_ms = 0.0;  // context + cold, string kernels
-  double id_ms = 0.0;      // context + cold, interned-id kernels
-  double speedup = 0.0;
-  E2eStages string_stages;
+  double id_ms = 0.0;  // context + cold, interned-id kernels
   E2eStages id_stages;
 };
 
@@ -508,16 +504,14 @@ E2ePoint BenchEndToEnd(DatasetId dataset, const BenchOptions& opts) {
   const BenchEnv env = BenchEnv::Make(local);
   const MatchingFunction fn =
       env.RuleSubset(std::min<size_t>(opts.rules, 80), 4242);
-  // Per-stage timings, best-of-reps per stage. Fresh context per rep: the
-  // id path pays interning + array construction inside its context stage,
-  // same as the string path pays tokenization.
-  auto run_stages = [&](bool intern) {
+  // Per-stage timings, best-of-reps per stage. Fresh context per rep; its
+  // columns are built lazily, so interning and array construction land in
+  // the cold stage.
+  auto run_stages = [&]() {
     E2eStages stages;
     for (size_t rep = 0; rep < opts.reps; ++rep) {
       Stopwatch build;
-      PairContext ctx(env.ds.a, env.ds.b, env.catalog,
-                      PairContext::Options{.cache_tokens = true,
-                                           .intern_tokens = intern});
+      PairContext ctx(env.ds.a, env.ds.b, env.catalog);
       const double context_ms = build.ElapsedMillis();
       DenseMemo memo(env.ds.candidates.size(), env.catalog.size());
       MemoMatcher matcher;
@@ -541,38 +535,15 @@ E2ePoint BenchEndToEnd(DatasetId dataset, const BenchOptions& opts) {
   E2ePoint point;
   point.dataset = env.profile.name;
   point.candidates = env.ds.candidates.size();
-  point.string_stages = run_stages(false);
-  point.id_stages = run_stages(true);
-  point.string_ms =
-      point.string_stages.context_ms + point.string_stages.cold_ms;
+  point.id_stages = run_stages();
   point.id_ms = point.id_stages.context_ms + point.id_stages.cold_ms;
-  point.speedup = point.id_ms > 0.0 ? point.string_ms / point.id_ms : 0.0;
-  std::printf(
-      "end-to-end %-12s %7zu pairs: strings %9.1f ms   ids %8.1f ms   "
-      "%5.2fx\n",
-      point.dataset.c_str(), point.candidates, point.string_ms,
-      point.id_ms, point.speedup);
+  std::printf("end-to-end %-12s %7zu pairs: ids %8.1f ms\n",
+              point.dataset.c_str(), point.candidates, point.id_ms);
   std::printf(
       "  id stages: context %.1f ms  kernel %.1f ms  probe+rules %.1f ms\n",
       point.id_stages.context_ms, point.id_stages.kernel_ms,
       point.id_stages.warm_ms);
   return point;
-}
-
-/// Writes the machine and build lines of the JSON header (`nproc`,
-/// compiler, build type), each a member followed by a comma.
-/// EMDBG_BUILD_TYPE comes from bench/CMakeLists.txt.
-void WriteJsonProvenance(std::FILE* f) {
-#if defined(__clang__)
-  const char* compiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-  const char* compiler = "gcc " __VERSION__;
-#else
-  const char* compiler = "unknown";
-#endif
-  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"compiler\": \"%s\",\n", compiler);
-  std::fprintf(f, "  \"build_type\": \"%s\",\n", EMDBG_BUILD_TYPE);
 }
 
 void WriteJson(const BenchOptions& opts, const std::string& dataset,
@@ -663,11 +634,8 @@ void WriteJson(const BenchOptions& opts, const std::string& dataset,
     const E2ePoint& p = e2e[i];
     std::fprintf(f,
                  "    {\"dataset\": \"%s\", \"candidates\": %zu, "
-                 "\"string_ms\": %.1f, \"id_ms\": %.1f, "
-                 "\"speedup\": %.2f,\n",
-                 p.dataset.c_str(), p.candidates, p.string_ms, p.id_ms,
-                 p.speedup);
-    stage_json("string_stages", p.string_stages, ",");
+                 "\"id_ms\": %.1f,\n",
+                 p.dataset.c_str(), p.candidates, p.id_ms);
     stage_json("id_stages", p.id_stages, "");
     std::fprintf(f, "    }%s\n", i + 1 == e2e.size() ? "" : ",");
   }

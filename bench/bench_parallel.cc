@@ -221,6 +221,7 @@ void WriteJson(const BenchOptions& opts, const BenchEnv& env, size_t hw,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"parallel\",\n");
+  WriteJsonProvenance(f);
   std::fprintf(f, "  \"dataset\": \"%s\",\n", env.profile.name.c_str());
   std::fprintf(f, "  \"scale\": %g,\n", opts.scale);
   std::fprintf(f, "  \"candidates\": %zu,\n", env.ds.candidates.size());

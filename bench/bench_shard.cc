@@ -31,11 +31,8 @@ size_t PeakRssBytes() {
 }
 
 size_t ContextCacheBytes(const PairContext& ctx) {
-  size_t bytes = ctx.IdCacheBytes() + ctx.TokenCacheBytes();
-  if (const TokenInterner* interner = ctx.interner()) {
-    bytes += interner->ArenaBytes() + interner->DictionaryBytes();
-  }
-  return bytes;
+  return ctx.IdCacheBytes() + ctx.interner().ArenaBytes() +
+         ctx.interner().DictionaryBytes();
 }
 
 struct ShardBenchResult {
@@ -68,8 +65,10 @@ void WriteJson(const BenchOptions& opts, const ShardBenchResult& r,
   const double mb = 1048576.0;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"shard\",\n");
+  WriteJsonProvenance(f);
   std::fprintf(f, "  \"scale\": %g,\n", opts.scale);
   std::fprintf(f, "  \"rules\": %zu,\n", opts.rules);
+  std::fprintf(f, "  \"reps\": %zu,\n", opts.reps);
   std::fprintf(f, "  \"pairs\": %zu,\n", r.pairs);
   std::fprintf(f, "  \"features\": %zu,\n", r.features);
   std::fprintf(f, "  \"memo_mb\": %.2f,\n", r.memo_bytes / mb);

@@ -32,16 +32,14 @@ void Run(const BenchOptions& opts) {
 
   // The interned-token layer: dictionary + arena of the shared
   // TokenInterner and the per-record id/tf/weight arrays it feeds.
-  if (const TokenInterner* interner = env.ctx->interner()) {
-    std::printf(
-        "token interner: %zu tokens, arena %.2f MB, dictionary %.2f MB; "
-        "id caches %.2f MB (string token caches %.2f MB)\n",
-        static_cast<size_t>(interner->size()),
-        static_cast<double>(interner->ArenaBytes()) / 1048576.0,
-        static_cast<double>(interner->DictionaryBytes()) / 1048576.0,
-        static_cast<double>(env.ctx->IdCacheBytes()) / 1048576.0,
-        static_cast<double>(env.ctx->TokenCacheBytes()) / 1048576.0);
-  }
+  const TokenInterner& interner = env.ctx->interner();
+  std::printf(
+      "token interner: %zu tokens, arena %.2f MB, dictionary %.2f MB; "
+      "id caches %.2f MB\n",
+      static_cast<size_t>(interner.size()),
+      static_cast<double>(interner.ArenaBytes()) / 1048576.0,
+      static_cast<double>(interner.DictionaryBytes()) / 1048576.0,
+      static_cast<double>(env.ctx->IdCacheBytes()) / 1048576.0);
 
   // Dense-vs-hash trade-off at the observed fill rate (Sec. 7.4's
   // "consider a hash-map for larger data sets").

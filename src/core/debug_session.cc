@@ -420,12 +420,9 @@ DebugSession::MemoryFootprint DebugSession::Footprint() const {
       started_ && options_.incremental && inc_ != nullptr ? inc_->state()
                                                           : batch_state_;
   fp.memo_bytes = state.MemoryBytes();
-  fp.token_cache_bytes = ctx_->TokenCacheBytes();
   fp.id_cache_bytes = ctx_->IdCacheBytes();
-  if (const TokenInterner* interner = ctx_->interner()) {
-    fp.interner_bytes =
-        interner->ArenaBytes() + interner->DictionaryBytes();
-  }
+  fp.interner_bytes =
+      ctx_->interner().ArenaBytes() + ctx_->interner().DictionaryBytes();
   return fp;
 }
 

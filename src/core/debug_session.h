@@ -83,12 +83,13 @@ class DebugSession {
   /// the serve layer's stats and eviction decisions).
   struct MemoryFootprint {
     size_t memo_bytes = 0;         ///< memo matrix + decision bitmaps
-    size_t token_cache_bytes = 0;  ///< per-record token lists
+    /// Always 0; kept only because perfbench reports it (the next
+    /// benchmark change removes it).
+    size_t token_cache_bytes = 0;
     size_t id_cache_bytes = 0;     ///< interned-id columns + weight rows
     size_t interner_bytes = 0;     ///< dictionary + arena
     size_t total() const {
-      return memo_bytes + token_cache_bytes + id_cache_bytes +
-             interner_bytes;
+      return memo_bytes + id_cache_bytes + interner_bytes;
     }
   };
 
@@ -171,8 +172,7 @@ class DebugSession {
   /// Sec. 7.4-style memory accounting of the materialized state.
   std::string MemoryReport() const;
 
-  /// Current per-consumer byte counts (memo, token caches, id caches,
-  /// interner).
+  /// Current per-consumer byte counts (memo, id caches, interner).
   MemoryFootprint Footprint() const;
 
   /// Per-rule activity from the materialized state: how many pairs each

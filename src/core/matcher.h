@@ -20,7 +20,7 @@ class Matcher {
   /// Evaluates `fn` over all pairs, checking `control` once per pair. A
   /// cancelled or deadline-exceeded run returns a partial MatchResult
   /// (see match_result.h) instead of blocking until completion. The
-  /// context supplies feature computation (and its token caches persist
+  /// context supplies feature computation (and its id caches persist
   /// across calls).
   virtual MatchResult Run(const MatchingFunction& fn,
                           const CandidateSet& pairs, PairContext& ctx,

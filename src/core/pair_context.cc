@@ -27,7 +27,7 @@ void ForEachRow(ThreadPool* pool, uint32_t rows, Fn&& fn) {
 }
 
 /// Cache-billing chunk (see PairContext::BillBytes): one budget
-/// round-trip per ~256 KB of cache growth, not per token list.
+/// round-trip per ~256 KB of cache growth, not per column.
 constexpr size_t kCacheBillChunk = 256 * 1024;
 
 /// Fills `col` with one sorted-unique row per table row: row r gets room
@@ -72,53 +72,36 @@ bool BuildSortedRows(uint32_t rows, ThreadPool* pool, Capacity&& capacity,
 
 PairContext::PairContext(const Table& a, const Table& b,
                          const FeatureCatalog& catalog, Options options)
-    : a_(a), b_(b), catalog_(catalog), options_(options),
-      budget_(options.budget) {
-  if (options_.cache_tokens && options_.intern_tokens) {
-    interner_ = std::make_unique<TokenInterner>();
-    for (const bool table_b : {false, true}) {
-      IdCache& idc = table_b ? idc_b_ : idc_a_;
-      const size_t attrs = (table_b ? b_ : a_).num_attributes();
-      idc.word_docs.resize(attrs);
-      idc.words.resize(attrs);
-      idc.qgrams.resize(attrs);
-      idc.tf_built.assign(attrs, false);
-    }
+    : a_(a), b_(b), catalog_(catalog), budget_(options.budget) {
+  for (const bool table_b : {false, true}) {
+    IdCache& idc = table_b ? idc_b_ : idc_a_;
+    const size_t attrs = (table_b ? b_ : a_).num_attributes();
+    idc.word_docs.resize(attrs);
+    idc.words.resize(attrs);
+    idc.qgrams.resize(attrs);
+    idc.tf_built.assign(attrs, false);
   }
 }
 
 PairContext::~PairContext() {
-  if (budget_ != nullptr) {
-    budget_->Release(billed_bytes_.load(std::memory_order_relaxed));
-  }
+  if (budget_ != nullptr) budget_->Release(billed_bytes_);
 }
 
 bool PairContext::BillBytes(size_t added) {
   if (budget_ == nullptr) return true;
-  const size_t total =
-      approx_bytes_.fetch_add(added, std::memory_order_relaxed) + added;
-  size_t billed = billed_bytes_.load(std::memory_order_relaxed);
-  while (total > billed) {
-    // Claim the chunk optimistically so concurrent billers don't all
-    // reserve for the same growth; roll back on denial.
-    const size_t want = std::max(total - billed, kCacheBillChunk);
-    if (!billed_bytes_.compare_exchange_weak(billed, billed + want,
-                                             std::memory_order_relaxed)) {
-      continue;
-    }
-    if (!budget_->Reserve(want, "ctx.cache").ok()) {
-      billed_bytes_.fetch_sub(want, std::memory_order_relaxed);
-      budget_denials_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    billed = billed_bytes_.load(std::memory_order_relaxed);
+  approx_bytes_ += added;
+  if (approx_bytes_ <= billed_bytes_) return true;
+  const size_t want = std::max(approx_bytes_ - billed_bytes_, kCacheBillChunk);
+  if (!budget_->Reserve(want, "ctx.cache").ok()) {
+    budget_denials_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
+  billed_bytes_ += want;
   return true;
 }
 
 size_t PairContext::TakeInternerGrowth() {
-  if (interner_ == nullptr) return 0;
-  const size_t now = interner_->ArenaBytes() + interner_->DictionaryBytes();
+  const size_t now = interner_.ArenaBytes() + interner_.DictionaryBytes();
   const size_t grown = now > interner_bytes_seen_
                            ? now - interner_bytes_seen_
                            : 0;
@@ -126,62 +109,30 @@ size_t PairContext::TakeInternerGrowth() {
   return grown;
 }
 
-void PairContext::ResyncBillingSerial() {
+void PairContext::ResyncBilling() {
   if (budget_ == nullptr) return;
-  size_t actual = TokenCacheBytes() + IdCacheBytes();
-  if (interner_ != nullptr) {
-    actual += interner_->ArenaBytes() + interner_->DictionaryBytes();
-  }
-  approx_bytes_.store(actual, std::memory_order_relaxed);
-  const size_t billed = billed_bytes_.load(std::memory_order_relaxed);
-  if (billed > actual) {
-    budget_->Release(billed - actual);
-    billed_bytes_.store(actual, std::memory_order_relaxed);
-  } else if (billed < actual) {
+  const size_t actual =
+      IdCacheBytes() + interner_.ArenaBytes() + interner_.DictionaryBytes();
+  approx_bytes_ = actual;
+  if (billed_bytes_ > actual) {
+    budget_->Release(billed_bytes_ - actual);
+    billed_bytes_ = actual;
+  } else if (billed_bytes_ < actual) {
     // Under-billed (an earlier denial left a deficit). Best-effort: the
     // budget may have room now; if not, the deficit shrinks at the next
     // clear. TryReserve, not Reserve — Resync runs from reclaim
     // callbacks (DropIdCaches), where a reclaiming Reserve would
     // self-deadlock on the registry mutex.
-    if (budget_->TryReserve(actual - billed, "ctx.cache").ok()) {
-      billed_bytes_.store(actual, std::memory_order_relaxed);
+    if (budget_->TryReserve(actual - billed_bytes_, "ctx.cache").ok()) {
+      billed_bytes_ = actual;
     }
   }
 }
 
-std::vector<std::unique_ptr<TokenList>>& PairContext::TokenSlots(
-    bool table_b, bool qgrams) {
-  const Table& table = table_b ? b_ : a_;
-  TokenCache& cache = table_b ? cache_b_ : cache_a_;
-  auto& slots = qgrams ? cache.qgrams : cache.words;
-  if (slots.empty()) slots.resize(table.num_attributes() * table.num_rows());
-  return slots;
-}
-
-const TokenList* PairContext::CachedTokens(bool table_b, AttrIndex attr,
-                                           uint32_t row, bool qgrams) {
-  if (!options_.cache_tokens ||
-      token_degraded_.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
-  const Table& table = table_b ? b_ : a_;
-  auto& slots = TokenSlots(table_b, qgrams);
-  const size_t slot = attr * table.num_rows() + row;
-  if (slots[slot] == nullptr) {
-    const std::string& text = table.Value(row, attr);
-    slots[slot] = std::make_unique<TokenList>(
-        qgrams ? QGramTokenize(text, 3) : AlnumTokenize(text));
-    size_t bytes =
-        sizeof(TokenList) + slots[slot]->capacity() * sizeof(std::string);
-    for (const std::string& t : *slots[slot]) bytes += t.capacity();
-    if (!BillBytes(bytes)) {
-      // Stop caching new slots; this one stays valid for the current
-      // call. Safe mid-parallel-fill: the flag is atomic and every
-      // similarity function accepts null token lists (it re-tokenizes).
-      token_degraded_.store(true, std::memory_order_relaxed);
-    }
-  }
-  return slots[slot].get();
+bool PairContext::Degrade() {
+  id_degraded_.store(true, std::memory_order_relaxed);
+  ResyncBilling();
+  return false;
 }
 
 bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
@@ -197,9 +148,7 @@ bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
   auto abandon = [&]() {
     set = IdColumn{};
     if (!qgrams) docs = IdColumn{};
-    id_degraded_.store(true, std::memory_order_relaxed);
-    ResyncBillingSerial();
-    return false;
+    return Degrade();
   };
   bool ok = false;
   if (qgrams) {
@@ -219,7 +168,7 @@ bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
     std::string buf;
     for (uint32_t row = 0; row < rows; ++row) {
       docs.offsets[row] = static_cast<uint32_t>(docs.ids.size());
-      InternWordIds(table.Value(row, attr), *interner_, buf, docs.ids);
+      InternWordIds(table.Value(row, attr), interner_, buf, docs.ids);
     }
     docs.offsets[rows] = static_cast<uint32_t>(docs.ids.size());
     // Parallel phase: per-row sorting reads only the row's own ids.
@@ -251,6 +200,7 @@ bool PairContext::BuildTfColumn(bool table_b, AttrIndex attr,
                                 ThreadPool* pool) {
   IdCache& idc = table_b ? idc_b_ : idc_a_;
   if (idc.tf_built[attr]) return true;
+  if (id_degraded_.load(std::memory_order_relaxed)) return false;
   if (!BuildIdColumn(table_b, attr, /*qgrams=*/false, pool)) return false;
   const Table& table = table_b ? b_ : a_;
   const uint32_t rows = table.num_rows();
@@ -261,7 +211,7 @@ bool PairContext::BuildTfColumn(bool table_b, AttrIndex attr,
   // them), so this is the one place the snapshot is refreshed: after the
   // column's ids are interned, before the sort. The interner reports its
   // bytes (DictionaryBytes), so they are billed with its growth.
-  ranks_ = interner_->LexRanks();
+  ranks_ = interner_.LexRanks();
   const auto ranks = ranks_;
   const IdColumn& docs = idc.word_docs[attr];
   ForEachRow(pool, rows, [&](uint32_t row) {
@@ -278,31 +228,36 @@ bool PairContext::BuildTfColumn(bool table_b, AttrIndex attr,
     for (uint32_t row = 0; row < rows; ++row) {
       idc.word_tf[attr * rows + row].reset();
     }
-    id_degraded_.store(true, std::memory_order_relaxed);
-    ResyncBillingSerial();
-    return false;
+    return Degrade();
   }
   idc.tf_built[attr] = true;
   return true;
 }
 
-PairContext::ModelIdCache& PairContext::EnsureModelIds(AttrIndex attr_a,
-                                                       AttrIndex attr_b,
-                                                       ThreadPool* pool) {
-  ModelIdCache& mc = model_ids_[std::make_pair(attr_a, attr_b)];
-  if (mc.built) return mc;
-  const TfIdfModel& model = ModelFor(attr_a, attr_b);
-  if (!BuildTfColumn(false, attr_a, pool) ||
-      !BuildTfColumn(true, attr_b, pool)) {
-    return mc;  // built stays false; caller falls back to string path
+const PairContext::ModelIdCache* PairContext::EnsureModelIds(
+    AttrIndex attr_a, AttrIndex attr_b, ThreadPool* pool) {
+  const auto key = std::make_pair(attr_a, attr_b);
+  if (const auto it = model_ids_.find(key); it != model_ids_.end()) {
+    return &it->second;
   }
-  // idf-by-id over the whole current vocabulary: Idf(text) is a pure
-  // function of the model, so values match the string path exactly.
-  const uint32_t vocab = interner_->size();
-  mc.idf_by_id.reserve(vocab);
-  for (uint32_t id = static_cast<uint32_t>(mc.idf_by_id.size()); id < vocab;
-       ++id) {
-    mc.idf_by_id.push_back(model.Idf(std::string(interner_->Text(id))));
+  if (id_degraded_.load(std::memory_order_relaxed) ||
+      !BuildTfColumn(false, attr_a, pool) ||
+      !BuildTfColumn(true, attr_b, pool)) {
+    return nullptr;  // the caller falls back to the string path
+  }
+  // Document frequencies over the sorted-unique word columns: each id once
+  // per row, on both sides. Ids interned only by other attributes keep
+  // df = 0, as unseen terms do in TfIdfModel, so idf matches its Idf.
+  const uint32_t vocab = interner_.size();
+  std::vector<uint32_t> df(vocab, 0);
+  for (const IdColumn* col : {&idc_a_.words[attr_a], &idc_b_.words[attr_b]}) {
+    for (const TokenId id : col->ids) ++df[id];
+  }
+  const size_t docs = size_t{a_.num_rows()} + b_.num_rows();
+  ModelIdCache mc;
+  mc.idf_by_id.resize(vocab);
+  for (uint32_t id = 0; id < vocab; ++id) {
+    mc.idf_by_id[id] = TfIdfModel::SmoothedIdf(docs, df[id]);
   }
   mc.rows_a.resize(a_.num_rows());
   mc.rows_b.resize(b_.num_rows());
@@ -322,16 +277,16 @@ PairContext::ModelIdCache& PairContext::EnsureModelIds(AttrIndex attr_a,
     }
   }
   if (!BillBytes(bytes)) {
-    mc.idf_by_id.clear();
-    mc.idf_by_id.shrink_to_fit();
-    mc.rows_a.clear();
-    mc.rows_b.clear();
-    id_degraded_.store(true, std::memory_order_relaxed);
-    ResyncBillingSerial();
-    return mc;
+    Degrade();  // `mc` is not inserted, so the resync drops its bytes
+    return nullptr;
   }
-  mc.built = true;
-  return mc;
+  return &model_ids_.emplace(key, std::move(mc)).first->second;
+}
+
+const std::vector<double>* PairContext::IdfById(AttrIndex attr_a,
+                                                AttrIndex attr_b) {
+  const ModelIdCache* mc = EnsureModelIds(attr_a, attr_b, nullptr);
+  return mc == nullptr ? nullptr : &mc->idf_by_id;
 }
 
 const IdColumn* PairContext::SetColumn(bool table_b, AttrIndex attr,
@@ -343,68 +298,25 @@ const IdColumn* PairContext::SetColumn(bool table_b, AttrIndex attr,
 
 void PairContext::Prewarm(const std::vector<FeatureId>& features,
                           ThreadPool* pool) {
-  // Serial phase: TF-IDF corpus models mutate a shared map.
-  for (const FeatureId f : features) {
-    const Feature& feature = catalog_.feature(f);
-    if (GetSimFunctionInfo(feature.fn).needs_tfidf) {
-      (void)ModelFor(feature.attr_a, feature.attr_b);
-    }
-  }
-  if (!options_.cache_tokens) return;
-
-  // Id phase: build every id structure the features' fast paths will
-  // read, so concurrent ComputeFeature calls stay read-only.
-  if (interner_ != nullptr) {
-    for (const FeatureId f : features) {
-      const Feature& feature = catalog_.feature(f);
-      const SimFunctionInfo& info = GetSimFunctionInfo(feature.fn);
-      if (!info.id_path) continue;
-      const bool qgrams = info.tokens == TokenNeed::kQGram3;
-      BuildIdColumn(false, feature.attr_a, qgrams, pool);
-      BuildIdColumn(true, feature.attr_b, qgrams, pool);
-      if (feature.fn == SimFunction::kCosine) {
-        BuildTfColumn(false, feature.attr_a, pool);
-        BuildTfColumn(true, feature.attr_b, pool);
-      }
-      if (info.needs_tfidf) {
-        (void)EnsureModelIds(feature.attr_a, feature.attr_b, pool);
-      }
-    }
-    // Every token feature has an id path, which reads no token list.
-    // Only when budget pressure dropped an id structure do its features
-    // fall back to the string kernels, whose token lists are filled next.
-    if (!id_path_degraded()) return;
-  }
-
-  // String path: deduplicated (table, attribute, token kind)
-  // tokenization tasks — several features usually share attributes.
-  struct Task {
-    bool table_b;
-    AttrIndex attr;
-    bool qgrams;
-    bool operator==(const Task&) const = default;
-  };
-  std::vector<Task> tasks;
+  // Build every id structure the features' fast paths will read, so
+  // concurrent ComputeFeature calls stay read-only. Where budget pressure
+  // refuses one, its features re-tokenize per call, which shares nothing
+  // but the TF-IDF family's string model: that is built here, serially.
   for (const FeatureId f : features) {
     const Feature& feature = catalog_.feature(f);
     const SimFunctionInfo& info = GetSimFunctionInfo(feature.fn);
-    if (info.tokens == TokenNeed::kNone) continue;
+    if (!info.id_path) continue;
     const bool qgrams = info.tokens == TokenNeed::kQGram3;
-    for (const Task t : {Task{false, feature.attr_a, qgrams},
-                         Task{true, feature.attr_b, qgrams}}) {
-      if (std::find(tasks.begin(), tasks.end(), t) == tasks.end()) {
-        tasks.push_back(t);
-      }
+    BuildIdColumn(false, feature.attr_a, qgrams, pool);
+    BuildIdColumn(true, feature.attr_b, qgrams, pool);
+    if (feature.fn == SimFunction::kCosine) {
+      BuildTfColumn(false, feature.attr_a, pool);
+      BuildTfColumn(true, feature.attr_b, pool);
     }
-  }
-  for (const Task& t : tasks) {
-    // Sized here, serially; each row then fills a distinct slot, safe
-    // without locking.
-    (void)TokenSlots(t.table_b, t.qgrams);
-    ForEachRow(pool, t.table_b ? b_.num_rows() : a_.num_rows(),
-               [&](uint32_t row) {
-                 (void)CachedTokens(t.table_b, t.attr, row, t.qgrams);
-               });
+    if (info.needs_tfidf &&
+        EnsureModelIds(feature.attr_a, feature.attr_b, pool) == nullptr) {
+      (void)ModelFor(feature.attr_a, feature.attr_b);
+    }
   }
 }
 
@@ -453,22 +365,23 @@ bool PairContext::TryComputeFeatureIds(const Feature& feature,
       *value = IdMongeElkan(idc_a_.word_docs[feature.attr_a].Row(pair.a),
                             ca->Row(pair.a),
                             idc_b_.word_docs[feature.attr_b].Row(pair.b),
-                            cb->Row(pair.b), *interner_);
+                            cb->Row(pair.b), interner_);
       return true;
     }
     case SimFunction::kTfIdf: {
-      const ModelIdCache& mc =
+      const ModelIdCache* mc =
           EnsureModelIds(feature.attr_a, feature.attr_b, nullptr);
-      if (!mc.built) return false;
-      *value = IdTfIdfCosine(*mc.rows_a[pair.a], *mc.rows_b[pair.b], *ranks_);
+      if (mc == nullptr) return false;
+      *value =
+          IdTfIdfCosine(*mc->rows_a[pair.a], *mc->rows_b[pair.b], *ranks_);
       return true;
     }
     case SimFunction::kSoftTfIdf: {
-      const ModelIdCache& mc =
+      const ModelIdCache* mc =
           EnsureModelIds(feature.attr_a, feature.attr_b, nullptr);
-      if (!mc.built) return false;
-      *value = IdSoftTfIdf(*mc.rows_a[pair.a], *mc.rows_b[pair.b], *ranks_,
-                           *interner_);
+      if (mc == nullptr) return false;
+      *value = IdSoftTfIdf(*mc->rows_a[pair.a], *mc->rows_b[pair.b], *ranks_,
+                           interner_);
       return true;
     }
     default:
@@ -483,34 +396,17 @@ double PairContext::ComputeFeatureValue(const Feature& feature,
   // not depend on whether a value came from computation or from the memo
   // (otherwise rule/predicate *order* could change results at threshold
   // boundaries).
-  if (info.id_path && interner_ != nullptr) {
-    double value = 0.0;
-    if (TryComputeFeatureIds(feature, info, pair, &value)) {
-      return static_cast<float>(value);
-    }
-    // Budget pressure dropped or blocked an id structure — fall through
-    // to the string kernels, which compute the identical value.
+  double value = 0.0;
+  if (!info.id_path || !TryComputeFeatureIds(feature, info, pair, &value)) {
+    // No id path, or budget pressure dropped or refused an id structure:
+    // the string kernels re-tokenize and compute the identical value.
+    value = ComputeSimilarity(
+        feature.fn, a_.Value(pair.a, feature.attr_a),
+        b_.Value(pair.b, feature.attr_b),
+        info.needs_tfidf ? &ModelFor(feature.attr_a, feature.attr_b)
+                         : nullptr);
   }
-
-  SimArg arg_a;
-  arg_a.text = a_.Value(pair.a, feature.attr_a);
-  SimArg arg_b;
-  arg_b.text = b_.Value(pair.b, feature.attr_b);
-
-  if (info.tokens == TokenNeed::kWords) {
-    arg_a.words = CachedTokens(false, feature.attr_a, pair.a, false);
-    arg_b.words = CachedTokens(true, feature.attr_b, pair.b, false);
-  } else if (info.tokens == TokenNeed::kQGram3) {
-    arg_a.qgrams = CachedTokens(false, feature.attr_a, pair.a, true);
-    arg_b.qgrams = CachedTokens(true, feature.attr_b, pair.b, true);
-  }
-
-  const TfIdfModel* model = nullptr;
-  if (info.needs_tfidf) {
-    model = &ModelFor(feature.attr_a, feature.attr_b);
-  }
-  return static_cast<float>(
-      ComputeSimilarity(feature.fn, arg_a, arg_b, model));
+  return static_cast<float>(value);
 }
 
 double PairContext::ComputeFeature(FeatureId f, PairId pair) {
@@ -547,7 +443,7 @@ void PairContext::ComputeFeatureBlock(FeatureId f, const PairId* pairs,
   // exactly the structures TryComputeFeatureIds needs per pair; when a
   // build fails under budget pressure, the generic per-pair path below
   // computes the identical value through the string kernels.
-  if (info.id_path && interner_ != nullptr) {
+  if (info.id_path) {
     const bool qgrams = info.tokens == TokenNeed::kQGram3;
     switch (feature.fn) {
       case SimFunction::kJaccard:
@@ -592,20 +488,20 @@ void PairContext::ComputeFeatureBlock(FeatureId f, const PairId* pairs,
       }
       case SimFunction::kTfIdf:
       case SimFunction::kSoftTfIdf: {
-        const ModelIdCache& mc =
+        const ModelIdCache* mc =
             EnsureModelIds(feature.attr_a, feature.attr_b, nullptr);
-        if (!mc.built) break;
+        if (mc == nullptr) break;
         const auto ranks = ranks_;
         if (feature.fn == SimFunction::kTfIdf) {
           for_each_lane([&](size_t i) {
             out[i] = static_cast<float>(IdTfIdfCosine(
-                *mc.rows_a[pairs[i].a], *mc.rows_b[pairs[i].b], *ranks));
+                *mc->rows_a[pairs[i].a], *mc->rows_b[pairs[i].b], *ranks));
           });
         } else {
           for_each_lane([&](size_t i) {
             out[i] = static_cast<float>(
-                IdSoftTfIdf(*mc.rows_a[pairs[i].a], *mc.rows_b[pairs[i].b],
-                            *ranks, *interner_));
+                IdSoftTfIdf(*mc->rows_a[pairs[i].a], *mc->rows_b[pairs[i].b],
+                            *ranks, interner_));
           });
         }
         return;
@@ -615,8 +511,8 @@ void PairContext::ComputeFeatureBlock(FeatureId f, const PairId* pairs,
     }
   }
 
-  // Generic path: per-pair resolution (string kernels, or id structures
-  // the fast loops could not secure). Same values, just slower.
+  // Generic path: per-pair resolution (Monge-Elkan's id columns, or the
+  // string kernels). Same values, just slower.
   for_each_lane([&](size_t i) {
     out[i] = static_cast<float>(ComputeFeatureValue(feature, info, pairs[i]));
   });
@@ -639,20 +535,6 @@ const TfIdfModel& PairContext::ModelFor(AttrIndex attr_a, AttrIndex attr_b) {
 }
 
 namespace {
-
-size_t TokenListBytes(const TokenList& tokens) {
-  size_t bytes = sizeof(TokenList) + tokens.capacity() * sizeof(std::string);
-  for (const std::string& t : tokens) bytes += t.capacity();
-  return bytes;
-}
-
-size_t CacheBytes(const std::vector<std::unique_ptr<TokenList>>& slots) {
-  size_t bytes = slots.capacity() * sizeof(std::unique_ptr<TokenList>);
-  for (const auto& slot : slots) {
-    if (slot != nullptr) bytes += TokenListBytes(*slot);
-  }
-  return bytes;
-}
 
 size_t ColumnBytes(const std::vector<IdColumn>& columns) {
   size_t bytes = 0;
@@ -685,11 +567,6 @@ size_t WeightRowBytes(
 
 }  // namespace
 
-size_t PairContext::TokenCacheBytes() const {
-  return CacheBytes(cache_a_.words) + CacheBytes(cache_a_.qgrams) +
-         CacheBytes(cache_b_.words) + CacheBytes(cache_b_.qgrams);
-}
-
 size_t PairContext::IdCacheBytes() const {
   size_t bytes = 0;
   for (const IdCache* idc : {&idc_a_, &idc_b_}) {
@@ -703,7 +580,8 @@ size_t PairContext::IdCacheBytes() const {
   return bytes;
 }
 
-void PairContext::ClearIdStructures() {
+size_t PairContext::DropIdCaches() {
+  const size_t before = IdCacheBytes();
   for (IdCache* idc : {&idc_a_, &idc_b_}) {
     for (auto* columns : {&idc->word_docs, &idc->words, &idc->qgrams}) {
       for (IdColumn& col : *columns) col = IdColumn{};
@@ -713,26 +591,9 @@ void PairContext::ClearIdStructures() {
     std::fill(idc->tf_built.begin(), idc->tf_built.end(), false);
   }
   model_ids_.clear();
-}
-
-void PairContext::ClearTokenCaches() {
-  for (TokenCache* cache : {&cache_a_, &cache_b_}) {
-    for (auto* slots : {&cache->words, &cache->qgrams}) {
-      slots->clear();
-      slots->shrink_to_fit();
-    }
-  }
-  ClearIdStructures();
-  token_degraded_.store(false, std::memory_order_relaxed);
   id_degraded_.store(false, std::memory_order_relaxed);
-  ResyncBillingSerial();
-}
-
-size_t PairContext::DropIdCaches() {
-  const size_t before = IdCacheBytes();
-  ClearIdStructures();
   const size_t freed = before - IdCacheBytes();
-  ResyncBillingSerial();
+  ResyncBilling();
   return freed;
 }
 

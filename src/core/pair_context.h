@@ -21,46 +21,30 @@ namespace emdbg {
 /// resolves a FeatureId against a candidate pair and computes the
 /// similarity value.
 ///
-/// The context owns two kinds of cross-pair state that are *not* the
-/// paper's memo:
-///   * per-record token structures (a record's title is tokenized once,
-///     not once per pair it appears in) — disable via Options::cache_tokens
-///     to get the paper's "every predicate is a black box computed from
-///     scratch" rudimentary setting;
-///   * TF-IDF corpus models per attribute pair (document-frequency tables
-///     are corpus-level state of the similarity function itself and are
-///     always cached).
-///
-/// By default (Options::intern_tokens) the token structures are integer id
-/// columns, read straight from the attribute bytes: word tokens interned
-/// to dense uint32 ids by a TokenInterner (document order and
-/// sorted-unique sets), 3-grams packed into sorted-unique 24-bit codes
-/// (no strings, no interning), lex-ordered term-frequency vectors and
-/// id-indexed TF-IDF weight vectors. The set-family kernels (Jaccard,
-/// Dice, overlap, trigram, cosine, TF-IDF, soft TF-IDF, Monge-Elkan) run
-/// over them — same doubles bit-for-bit (see src/text/id_kernels.h),
-/// several times faster. Id columns are built a whole column at a time on
-/// first touch or during Prewarm. Per-record token *lists* (strings) are
-/// cached only for the string kernels: with interning off, or for
-/// features whose id structures budget pressure dropped.
+/// The context owns cross-pair state that is *not* the paper's memo: one
+/// representation of each record's tokens, as integer id columns read
+/// straight from the attribute bytes. Word tokens are interned to dense
+/// uint32 ids by a TokenInterner (document order and sorted-unique sets),
+/// 3-grams are packed into sorted-unique 24-bit codes (no strings, no
+/// interning), and lex-ordered term-frequency vectors and id-indexed
+/// TF-IDF weight vectors are built over the word ids, with document
+/// frequencies counted per id. The set-family kernels (Jaccard, Dice,
+/// overlap, trigram, cosine, TF-IDF, soft TF-IDF, Monge-Elkan) run over
+/// them — same doubles bit-for-bit (see src/text/id_kernels.h). Id
+/// columns are built a whole column at a time on first touch or during
+/// Prewarm. When budget pressure refuses them, nothing stays resident:
+/// the string kernels re-tokenize per call (the paper's "every predicate
+/// is a black box computed from scratch" setting) and compute the
+/// identical values.
 class PairContext {
  public:
   struct Options {
-    /// Cache per-record token structures per (table, row, attribute): the
-    /// id columns below, or token lists for the string kernels.
-    bool cache_tokens = true;
-    /// Intern tokens to dense uint32 ids and evaluate the set-family
-    /// kernels on integer arrays (requires cache_tokens; bit-identical
-    /// results). Disable to force the string kernels.
-    bool intern_tokens = true;
-    /// Memory accountant for the token caches, interned-id columns, and
-    /// interner arenas (null = unbudgeted). Cache growth is billed as it
-    /// happens; a denied reservation *degrades* instead of failing:
-    /// id-cache columns are dropped first (the string kernels from the
-    /// vectorization work compute identical values, just slower), then
-    /// token caching stops (similarity functions re-tokenize per call).
-    /// Results are bit-identical on every rung of that ladder. The
-    /// budget must outlive the context.
+    /// Memory accountant for the id columns and the interner (null =
+    /// unbudgeted). Cache growth is billed as it happens; a denied
+    /// reservation *degrades* instead of failing: the id structure being
+    /// built is dropped and its features re-tokenize per call through the
+    /// string kernels, with bit-identical results. The budget must
+    /// outlive the context.
     MemoryBudget* budget = nullptr;
   };
 
@@ -98,9 +82,17 @@ class PairContext {
   void ComputeFeatureBlock(FeatureId f, const PairId* pairs, size_t n,
                            const uint64_t* mask, float* out);
 
-  /// TF-IDF model over the union corpus of column `attr_a` of A and
-  /// column `attr_b` of B (built lazily, then cached).
+  /// String TF-IDF model over the union corpus of column `attr_a` of A
+  /// and column `attr_b` of B (built lazily, then cached). Only the
+  /// re-tokenizing rung reads it; the id path weighs terms by document
+  /// frequencies counted per word id.
   const TfIdfModel& ModelFor(AttrIndex attr_a, AttrIndex attr_b);
+
+  /// The id path's idf table for the same model, indexed by word id and
+  /// covering every id interned when it was built (built on first touch;
+  /// nullptr when budget pressure refused it). Each entry equals, bit for
+  /// bit, ModelFor(attr_a, attr_b).Idf of the id's text. Serial-only.
+  const std::vector<double>* IdfById(AttrIndex attr_a, AttrIndex attr_b);
 
   /// Total feature computations performed through this context (across all
   /// matchers sharing it). Cleared with ResetComputeCount().
@@ -111,23 +103,24 @@ class PairContext {
     compute_count_.store(0, std::memory_order_relaxed);
   }
 
-  /// Fills the token caches, interned-id columns and TF-IDF models every
-  /// feature in `features` will touch. After prewarming, ComputeFeature
-  /// for those features is read-only on shared state and therefore safe to
-  /// call from multiple threads concurrently (used by
-  /// ParallelMemoMatcher). No-op slots when token caching is disabled.
+  /// Builds the id columns and TF-IDF weights every feature in `features`
+  /// will touch, and, for TF-IDF features whose weights budget pressure
+  /// refused, the string model. After prewarming, ComputeFeature for those
+  /// features is read-only on shared state and therefore safe to call
+  /// from multiple threads concurrently (used by ParallelMemoMatcher): no
+  /// call builds, bills or inserts.
   ///
   /// With a pool, the q-gram code rows, the per-record id-array sorting
-  /// and any token-list fill fan out across workers (distinct rows, no
-  /// synchronization needed); TF-IDF model construction and word interning
-  /// stay serial (corpus-level shared state). Re-warming an already-warm
+  /// and the weight vectors fan out across workers (distinct rows, no
+  /// synchronization needed); word interning and model construction stay
+  /// serial (corpus-level shared state). Re-warming an already-warm
   /// context is cheap either way — built columns are skipped.
   void Prewarm(const std::vector<FeatureId>& features,
                ThreadPool* pool = nullptr);
 
-  /// Approximate heap bytes held by the token-list caches (string path
-  /// only; 0 while every token feature runs on id columns).
-  size_t TokenCacheBytes() const;
+  /// Always 0: the context keeps no token lists. Kept only because
+  /// perfbench reports it; the next benchmark change removes it.
+  size_t TokenCacheBytes() const { return 0; }
 
   /// Approximate heap bytes held by the id caches (word-id and q-gram
   /// code columns, tf vectors, TF-IDF weight vectors; excludes the
@@ -135,29 +128,24 @@ class PairContext {
   /// TokenInterner::DictionaryBytes reports).
   size_t IdCacheBytes() const;
 
-  /// The token dictionary, or nullptr when interning is disabled (exposed
-  /// for memory accounting: ArenaBytes/DictionaryBytes).
-  const TokenInterner* interner() const { return interner_.get(); }
+  /// The token dictionary (exposed for memory accounting:
+  /// ArenaBytes/DictionaryBytes).
+  const TokenInterner& interner() const { return interner_; }
 
-  /// Drops token and id caches (models and the token dictionary are
-  /// kept), releases their billed bytes, and resets any budget-pressure
-  /// degradation — later builds re-attempt reservation, so a context can
-  /// recover once pressure passes. Serial-only (like the builds).
-  void ClearTokenCaches();
-
-  /// Drops only the id structures (id columns, tf vectors, model weight
-  /// vectors) and releases their billing; the string kernels keep the
-  /// same results. The cross-session reclaimer hook for idle sessions.
-  /// Serial-only. Returns the bytes released.
+  /// Drops the id structures (id columns, tf vectors, model weight
+  /// vectors; string models and the token dictionary are kept), releases
+  /// their billing and resets any budget-pressure degradation, so later
+  /// builds re-attempt reservation and a context recovers once pressure
+  /// passes. Values do not change. The cross-session reclaimer hook for
+  /// idle sessions. Serial-only (like the builds). Returns the bytes
+  /// released.
   size_t DropIdCaches();
 
-  /// True once budget pressure disabled the respective cache layer (see
-  /// Options::budget). Reset by ClearTokenCaches.
+  /// True once budget pressure refused an id structure (see
+  /// Options::budget): from then on, features without a built structure
+  /// re-tokenize per call. Reset by DropIdCaches.
   bool id_path_degraded() const {
     return id_degraded_.load(std::memory_order_relaxed);
-  }
-  bool token_cache_degraded() const {
-    return token_degraded_.load(std::memory_order_relaxed);
   }
 
   /// Reservations the budget denied to this context (degradation events).
@@ -166,14 +154,6 @@ class PairContext {
   }
 
  private:
-  // Cached token lists of one table for the string kernels; slot index =
-  // attr * num_rows + row. Empty until the string path first needs one
-  // (sized serially: by CachedTokens or before Prewarm's parallel fill).
-  struct TokenCache {
-    std::vector<std::unique_ptr<TokenList>> words;
-    std::vector<std::unique_ptr<TokenList>> qgrams;
-  };
-
   // Id columns of one table, per attribute, each built whole so the
   // interner mutates in one predictable (serial) place.
   struct IdCache {
@@ -191,26 +171,18 @@ class PairContext {
     std::vector<double> idf_by_id;
     std::vector<std::unique_ptr<IdWeightVector>> rows_a;
     std::vector<std::unique_ptr<IdWeightVector>> rows_b;
-    bool built = false;
   };
-
-  const TokenList* CachedTokens(bool table_b, AttrIndex attr, uint32_t row,
-                                bool qgrams);
-  /// One table's token-list slots of one kind, sized on first use.
-  /// Serial-only while still empty.
-  std::vector<std::unique_ptr<TokenList>>& TokenSlots(bool table_b,
-                                                      bool qgrams);
 
   /// One pair's value with the feature already resolved (no
   /// compute_count bump): the id fast path when available, else the
-  /// string kernels. The shared tail of ComputeFeature and
-  /// ComputeFeatureBlock's generic lane loop.
+  /// string kernels over freshly tokenized text. The shared tail of
+  /// ComputeFeature and ComputeFeatureBlock's generic lane loop.
   double ComputeFeatureValue(const Feature& feature,
                              const SimFunctionInfo& info, PairId pair);
 
   /// Id-path evaluation for functions with SimFunctionInfo::id_path.
   /// False when a needed id structure is unavailable (budget pressure
-  /// dropped or blocked it) — the caller falls through to the string
+  /// dropped or refused it) — the caller falls through to the string
   /// kernels, which compute the identical value.
   bool TryComputeFeatureIds(const Feature& feature,
                             const SimFunctionInfo& info, PairId pair,
@@ -226,39 +198,37 @@ class PairContext {
   /// interned serially in document order, then sorted-unique rows over
   /// `pool`. Q-grams: code rows over `pool`, no interning. False when the
   /// column is unavailable (billing denied → column dropped, id path
-  /// degraded).
+  /// degraded; once degraded, nothing new is built).
   bool BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
                      ThreadPool* pool);
   /// Builds lex-ordered term-frequency vectors for one words column.
+  /// Same contract as BuildIdColumn.
   bool BuildTfColumn(bool table_b, AttrIndex attr, ThreadPool* pool);
-  /// Builds the idf table and per-row weight vectors for one model.
-  /// Callers must check `.built` (false under budget pressure).
-  ModelIdCache& EnsureModelIds(AttrIndex attr_a, AttrIndex attr_b,
-                               ThreadPool* pool);
+  /// The idf table and per-row weight vectors of one model, built on
+  /// first touch from document frequencies counted per word id; nullptr
+  /// when unavailable under budget pressure.
+  const ModelIdCache* EnsureModelIds(AttrIndex attr_a, AttrIndex attr_b,
+                                     ThreadPool* pool);
 
-  /// Drops every id structure (columns, tf vectors, model weights)
-  /// without touching billing. Serial-only.
-  void ClearIdStructures();
+  /// Marks the id path degraded after a refused build and trues billing
+  /// down to what is still held. Returns false for the caller to pass on.
+  bool Degrade();
 
   /// Bills `added` approximate cache bytes against the budget in chunks.
   /// False on denial (counted in budget_denials_); callers degrade.
   bool BillBytes(size_t added);
-  /// Recomputes actual cache bytes and trues billing up or down. Serial
-  /// contexts only (walks every cache slot).
-  void ResyncBillingSerial();
-  /// Interner arena+dictionary growth since the last call (serial
-  /// contexts only — the interner only grows in serial build phases).
+  /// Recomputes actual cache bytes and trues billing up or down (walks
+  /// every cache slot).
+  void ResyncBilling();
+  /// Interner arena+dictionary growth since the last call.
   size_t TakeInternerGrowth();
 
   const Table& a_;
   const Table& b_;
   const FeatureCatalog& catalog_;
-  Options options_;
-  TokenCache cache_a_;
-  TokenCache cache_b_;
   std::map<std::pair<AttrIndex, AttrIndex>, std::unique_ptr<TfIdfModel>>
       models_;
-  std::unique_ptr<TokenInterner> interner_;
+  TokenInterner interner_;
   IdCache idc_a_;
   IdCache idc_b_;
   std::map<std::pair<AttrIndex, AttrIndex>, ModelIdCache> model_ids_;
@@ -274,17 +244,15 @@ class PairContext {
   std::shared_ptr<const std::vector<uint32_t>> ranks_;
   std::atomic<size_t> compute_count_{0};
 
-  // ---- Memory-budget accounting (see Options::budget). approx/billed
-  // are atomics because token-cache fills run in parallel during
-  // Prewarm; the degradation flags are flipped at most once per pressure
-  // episode and read relaxed. ----
+  // ---- Memory-budget accounting (see Options::budget). Every build,
+  // and so every bill, runs in a serial phase; the degradation flag is
+  // read relaxed by concurrent readers after Prewarm. ----
   MemoryBudget* budget_ = nullptr;
-  std::atomic<size_t> approx_bytes_{0};
-  std::atomic<size_t> billed_bytes_{0};
-  std::atomic<bool> token_degraded_{false};
+  size_t approx_bytes_ = 0;
+  size_t billed_bytes_ = 0;
   std::atomic<bool> id_degraded_{false};
   std::atomic<uint64_t> budget_denials_{0};
-  /// Interner bytes already folded into approx_bytes_ (serial phases).
+  /// Interner bytes already folded into approx_bytes_.
   size_t interner_bytes_seen_ = 0;
 };
 

@@ -11,8 +11,8 @@ namespace emdbg {
 
 /// Multi-threaded DM+EE (Algorithm 4). Candidate pairs are independent
 /// (Sec. 7.5's linearity observation), so the pair loop parallelizes: the
-/// dense memo partitions by pair row, and the shared token caches /
-/// TF-IDF models are prewarmed before the parallel phase so worker
+/// dense memo partitions by pair row, and the shared id columns /
+/// TF-IDF weights are prewarmed before the parallel phase so worker
 /// threads only read shared state.
 ///
 /// Scheduling is dynamic: workers claim 64-aligned chunks from a

@@ -185,16 +185,13 @@ Status Server::Start() {
   state_ = State::kRunning;
   if (budget_ != nullptr) {
     // Cross-tenant graceful degradation: under global pressure, evict
-    // idle sessions' id caches first (cheapest to rebuild), then their
-    // token caches. A session's *own* overflow is handled inside
-    // PairContext/Memo (self-degradation), not here — its caches are in
-    // active use by the worker that triggered the reserve.
+    // idle sessions' id caches (cheapest to rebuild). A session's *own*
+    // overflow is handled inside PairContext/Memo (self-degradation), not
+    // here — its caches are in active use by the worker that triggered
+    // the reserve.
     id_reclaimer_ = budget_->AddReclaimer(
         MemoryBudget::kReclaimIdCaches, "idle-session-id-caches",
-        [this](size_t want) { return ReclaimSessionCaches(want, false); });
-    token_reclaimer_ = budget_->AddReclaimer(
-        MemoryBudget::kReclaimTokenCaches, "idle-session-token-caches",
-        [this](size_t want) { return ReclaimSessionCaches(want, true); });
+        [this](size_t want) { return ReclaimSessionCaches(want); });
   }
   const size_t nw = std::max<size_t>(1, options_.num_workers);
   workers_.reserve(nw);
@@ -213,7 +210,7 @@ std::string Server::ErrShed(const std::string& msg) const {
                    msg.c_str(), options_.retry_after_ms);
 }
 
-size_t Server::ReclaimSessionCaches(size_t want, bool drop_tokens) {
+size_t Server::ReclaimSessionCaches(size_t want) {
   // Called from inside MemoryBudget::Reserve with the registry mutex
   // held; try_lock only — blocking on mu_ here could deadlock against a
   // thread that holds mu_ and waits on the registry (none exists today,
@@ -227,13 +224,7 @@ size_t Server::ReclaimSessionCaches(size_t want, bool drop_tokens) {
     // A running session's caches are mid-use by its worker (the cache
     // builds are serial-only); only idle sessions are evictable.
     if (entry.running || entry.session == nullptr) continue;
-    PairContext& ctx = entry.session->context();
-    freed += ctx.DropIdCaches();
-    if (drop_tokens) {
-      const size_t before = ctx.TokenCacheBytes();
-      ctx.ClearTokenCaches();
-      freed += before - ctx.TokenCacheBytes();
-    }
+    freed += entry.session->context().DropIdCaches();
   }
   return freed;
 }
@@ -481,7 +472,7 @@ void Server::HandleFrame(Connection& conn, std::string_view payload) {
           "executed=%llu shed_requests=%llu shed_conns=%llu expired=%llu "
           "dropped=%llu mem_used=%zu mem_limit=%zu mem_denials=%llu "
           "reclaims=%llu reclaimed=%llu replays=%llu stuck=%llu "
-          "memo_bytes=%zu token_bytes=%zu id_bytes=%zu interner_bytes=%zu",
+          "memo_bytes=%zu id_bytes=%zu interner_bytes=%zu",
           sessions_.size(), conns_.size(),
           static_cast<unsigned long long>(stats_.sessions_opened),
           static_cast<unsigned long long>(stats_.sessions_resumed),
@@ -497,7 +488,7 @@ void Server::HandleFrame(Connection& conn, std::string_view payload) {
           static_cast<unsigned long long>(gov.mem_reclaimed_bytes),
           static_cast<unsigned long long>(gov.idem_replays),
           static_cast<unsigned long long>(gov.tasks_stuck), gov.memo_bytes,
-          gov.token_cache_bytes, gov.id_cache_bytes, gov.interner_bytes);
+          gov.id_cache_bytes, gov.interner_bytes);
     }
     WriteResponse(conn.shared, resp);
     return;
@@ -1136,7 +1127,6 @@ void Server::JoinThreads() {
   // unhook the reclaimers that capture `this`.
   if (budget_ != nullptr) {
     budget_->RemoveReclaimer(id_reclaimer_);
-    budget_->RemoveReclaimer(token_reclaimer_);
   }
 }
 
@@ -1168,7 +1158,6 @@ void Server::Shutdown() {
   if (watchdog_thread_.joinable()) watchdog_thread_.join();
   if (budget_ != nullptr) {
     budget_->RemoveReclaimer(id_reclaimer_);
-    budget_->RemoveReclaimer(token_reclaimer_);
   }
 
   // All threads are gone: checkpoint every durable session so restart
@@ -1243,7 +1232,6 @@ void Server::FillGovernorStatsLocked(Stats& s) const {
     if (entry.running || entry.session == nullptr) continue;
     const DebugSession::MemoryFootprint fp = entry.session->Footprint();
     s.memo_bytes += fp.memo_bytes;
-    s.token_cache_bytes += fp.token_cache_bytes;
     s.id_cache_bytes += fp.id_cache_bytes;
     s.interner_bytes += fp.interner_bytes;
   }

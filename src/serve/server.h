@@ -145,7 +145,6 @@ class Server {
     /// Per-consumer byte counts summed over idle sessions (a running
     /// session's caches are in flux and are skipped).
     size_t memo_bytes = 0;
-    size_t token_cache_bytes = 0;
     size_t id_cache_bytes = 0;
     size_t interner_bytes = 0;
   };
@@ -213,11 +212,10 @@ class Server {
 
   /// ResourceExhausted response with the retry_after_ms hint appended.
   std::string ErrShed(const std::string& msg) const;
-  /// Root-budget reclaim hook: drops idle sessions' id caches (and, when
-  /// `drop_tokens`, their token caches too). Uses try_lock on mu_ — a
-  /// reclaimer must never block on the server lock — and skips running
-  /// sessions, whose caches are in active use.
-  size_t ReclaimSessionCaches(size_t want, bool drop_tokens);
+  /// Root-budget reclaim hook: drops idle sessions' id caches. Uses
+  /// try_lock on mu_ — a reclaimer must never block on the server lock —
+  /// and skips running sessions, whose caches are in active use.
+  size_t ReclaimSessionCaches(size_t want);
   /// Periodic sweep flagging requests stuck past stuck_task_ms.
   void WatchdogLoop();
   /// Formats the `stats` response / fills the governor fields of Stats.
@@ -234,7 +232,6 @@ class Server {
   /// be in flight then).
   std::unique_ptr<MemoryBudget> budget_;
   uint64_t id_reclaimer_ = 0;
-  uint64_t token_reclaimer_ = 0;
 
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: wakes the poll loop

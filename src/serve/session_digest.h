@@ -8,8 +8,9 @@
 namespace emdbg {
 
 /// Canonical fingerprint of a session's analyst-visible state: CRC-32C
-/// over the rule set (precise DSL, in evaluation order) chained with the
-/// match bitmap words. Two sessions over the same corpus have equal
+/// over the rule set (precise DSL lines, sorted, each rule's predicates
+/// sorted) chained with the match bitmap words. Neither rule nor
+/// predicate order moves it. Two sessions over the same corpus have equal
 /// digests iff they hold the same rules and the same match decisions —
 /// the soak harness uses this to prove a recovered session is
 /// bit-identical to a fault-free serial replay of its acknowledged edits.

@@ -95,51 +95,31 @@ Result<SimFunction> SimFunctionFromName(std::string_view name) {
                 static_cast<int>(name.size()), name.data()));
 }
 
-namespace {
-
-// Resolves the token list for one side, tokenizing locally if the caller
-// did not precompute. `storage` keeps a locally-computed list alive.
-const TokenList& ResolveTokens(const SimArg& arg, TokenNeed need,
-                               TokenList& storage) {
-  if (need == TokenNeed::kWords) {
-    if (arg.words != nullptr) return *arg.words;
-    storage = AlnumTokenize(arg.text);
-    return storage;
-  }
-  if (arg.qgrams != nullptr) return *arg.qgrams;
-  storage = QGramTokenize(arg.text, 3);
-  return storage;
-}
-
-}  // namespace
-
-double ComputeSimilarity(SimFunction fn, const SimArg& a, const SimArg& b,
-                         const TfIdfModel* model) {
+double ComputeSimilarity(SimFunction fn, std::string_view a,
+                         std::string_view b, const TfIdfModel* model) {
   switch (fn) {
     case SimFunction::kExactMatch:
-      return ExactMatch(a.text, b.text);
+      return ExactMatch(a, b);
     case SimFunction::kJaro:
-      return JaroSimilarity(a.text, b.text);
+      return JaroSimilarity(a, b);
     case SimFunction::kJaroWinkler:
-      return JaroWinklerSimilarity(a.text, b.text);
+      return JaroWinklerSimilarity(a, b);
     case SimFunction::kLevenshtein:
-      return LevenshteinSimilarity(a.text, b.text);
+      return LevenshteinSimilarity(a, b);
     case SimFunction::kSoundex:
-      return SoundexSimilarity(a.text, b.text);
+      return SoundexSimilarity(a, b);
     case SimFunction::kNumeric:
-      return NumericSimilarity(a.text, b.text);
+      return NumericSimilarity(a, b);
     case SimFunction::kNeedlemanWunsch:
-      return NeedlemanWunschSimilarity(a.text, b.text);
+      return NeedlemanWunschSimilarity(a, b);
     case SimFunction::kSmithWaterman:
-      return SmithWatermanSimilarity(a.text, b.text);
+      return SmithWatermanSimilarity(a, b);
     default:
       break;
   }
-  const TokenNeed need = GetSimFunctionInfo(fn).tokens;
-  TokenList sa;
-  TokenList sb;
-  const TokenList& ta = ResolveTokens(a, need, sa);
-  const TokenList& tb = ResolveTokens(b, need, sb);
+  const bool qgrams = GetSimFunctionInfo(fn).tokens == TokenNeed::kQGram3;
+  const TokenList ta = qgrams ? QGramTokenize(a, 3) : AlnumTokenize(a);
+  const TokenList tb = qgrams ? QGramTokenize(b, 3) : AlnumTokenize(b);
   switch (fn) {
     case SimFunction::kCosine:
       return CosineSimilarity(ta, tb);
@@ -162,12 +142,6 @@ double ComputeSimilarity(SimFunction fn, const SimArg& a, const SimArg& b,
     default:
       return 0.0;
   }
-}
-
-double ComputeSimilarity(SimFunction fn, std::string_view a,
-                         std::string_view b, const TfIdfModel* model) {
-  return ComputeSimilarity(fn, SimArg{a, nullptr, nullptr},
-                           SimArg{b, nullptr, nullptr}, model);
 }
 
 }  // namespace emdbg

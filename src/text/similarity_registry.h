@@ -69,23 +69,10 @@ const std::vector<SimFunction>& AllSimFunctions();
 /// underscores are interchangeable). Returns NotFound for unknown names.
 Result<SimFunction> SimFunctionFromName(std::string_view name);
 
-/// One side of a similarity computation. `text` is required; the token
-/// pointers are optional precomputed views (the matcher's PairContext fills
-/// them in so repeated features do not re-tokenize). When a needed token
-/// list is absent, ComputeSimilarity tokenizes on the fly.
-struct SimArg {
-  std::string_view text;
-  const TokenList* words = nullptr;
-  const TokenList* qgrams = nullptr;
-};
-
-/// Computes `fn` over a pair of attribute values. `model` must be non-null
-/// for TF-IDF-family functions (checked; returns 0.0 and is a programming
-/// error caught by tests otherwise).
-double ComputeSimilarity(SimFunction fn, const SimArg& a, const SimArg& b,
-                         const TfIdfModel* model = nullptr);
-
-/// Convenience overload for plain strings (tokenizes internally).
+/// Computes `fn` over a pair of attribute values, tokenizing as the
+/// function needs. `model` must be non-null for TF-IDF-family functions
+/// (checked; returns 0.0 and is a programming error caught by tests
+/// otherwise).
 double ComputeSimilarity(SimFunction fn, std::string_view a,
                          std::string_view b,
                          const TfIdfModel* model = nullptr);

@@ -21,8 +21,13 @@ TfIdfModel TfIdfModel::Build(const std::vector<TokenList>& corpus) {
 
 double TfIdfModel::Idf(const std::string& term) const {
   const auto it = df_.find(term);
-  const double df = it == df_.end() ? 0.0 : static_cast<double>(it->second);
-  return std::log((1.0 + static_cast<double>(doc_count_)) / (1.0 + df)) + 1.0;
+  return SmoothedIdf(doc_count_, it == df_.end() ? 0 : it->second);
+}
+
+double TfIdfModel::SmoothedIdf(size_t doc_count, size_t df) {
+  return std::log((1.0 + static_cast<double>(doc_count)) /
+                  (1.0 + static_cast<double>(df))) +
+         1.0;
 }
 
 TfIdfVector TfIdfModel::Vectorize(const TokenList& tokens) const {

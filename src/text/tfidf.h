@@ -39,6 +39,11 @@ class TfIdfModel {
   /// idf(t) = ln((1 + N) / (1 + df(t))) + 1. Unseen terms get df = 0.
   double Idf(const std::string& term) const;
 
+  /// The idf formula itself, for `doc_count` documents and a term in `df`
+  /// of them: Idf's one expression, shared with the id path (PairContext
+  /// counts document frequencies per word id).
+  static double SmoothedIdf(size_t doc_count, size_t df);
+
   /// TF-IDF vector of a token list, L2-normalized.
   TfIdfVector Vectorize(const TokenList& tokens) const;
 

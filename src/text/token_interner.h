@@ -22,7 +22,7 @@ inline constexpr TokenId kInvalidTokenId = 0xffffffffu;
 /// for the interner's lifetime) and every subsequent occurrence of the
 /// token costs one hash lookup instead of a heap allocation.
 ///
-/// Thread-safety follows the PairContext token-cache contract: Intern()
+/// Thread-safety follows PairContext's two-phase contract: Intern()
 /// mutates and must not race with anything; Find()/Text()/size() and a
 /// LexRanks() snapshot taken *after* the last Intern() are safe to use from
 /// many threads concurrently. PairContext does all interning in the serial

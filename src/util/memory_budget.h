@@ -18,14 +18,14 @@ namespace emdbg {
 ///
 /// A root budget caps the whole process (or server); child budgets cap one
 /// tenant each (per-session quotas). Every large consumer — DenseMemo
-/// allocations via MatchState, PairContext token/id caches, sharded-memo
+/// allocations via MatchState, PairContext id caches, sharded-memo
 /// fills, per-worker matcher scratch — calls Reserve() *before* allocating
 /// and Release() when the bytes are freed, so the first sign of pressure
 /// is a clean ResourceExhausted Status instead of the OOM killer.
 ///
 /// Graceful degradation: a budget keeps a registry of *reclaimable*
-/// consumers — caches whose loss costs time, never correctness (token
-/// caches, interned-id columns, cold memo shards). When a reservation
+/// consumers — caches whose loss costs time, never correctness
+/// (interned-id columns, cold memo shards). When a reservation
 /// does not fit, Reserve() runs reclaimers in eviction order (lowest
 /// priority class first; least-recently-touched first within a class)
 /// until the request fits or nothing more can be freed. Only then does it
@@ -44,9 +44,8 @@ class MemoryBudget {
  public:
   /// Eviction order for reclaimer registration: lower classes are evicted
   /// first (cheapest to rebuild → most expensive).
-  static constexpr int kReclaimIdCaches = 0;    // re-internable from tokens
-  static constexpr int kReclaimTokenCaches = 1; // re-tokenizable from text
-  static constexpr int kReclaimMemoShards = 2;  // recomputable similarities
+  static constexpr int kReclaimIdCaches = 0;    // rebuildable from text
+  static constexpr int kReclaimMemoShards = 1;  // recomputable similarities
 
   /// Root budget. `limit_bytes` 0 = unlimited (pure accounting).
   explicit MemoryBudget(size_t limit_bytes = 0,

@@ -1,5 +1,6 @@
 /// Randomized differential suite for the columnar block engine: for every
-/// rule-set shape, block size, and interning setting, BlockMatcher must be
+/// rule-set shape, block size, and context rung (id columns, or the string
+/// kernels re-tokenizing per call), BlockMatcher must be
 /// *bit-identical* to the serial MemoMatcher — same match bitmap, same
 /// per-rule/per-predicate decision bitmaps, same MatchStats counters, same
 /// memo contents — because it performs the same set of evaluations, merely
@@ -67,7 +68,8 @@ void ExpectSameState(const MatchingFunction& fn, const MatchState& block,
   }
 }
 
-// (interning on/off, rule count, generator seed, block size; 0 = auto)
+// (id columns, or a context whose budget refuses them; rule count,
+// generator seed, block size; 0 = auto)
 using ParamType = std::tuple<bool, int, int, size_t>;
 
 class BlockDifferentialTest : public ::testing::TestWithParam<ParamType> {
@@ -77,8 +79,10 @@ class BlockDifferentialTest : public ::testing::TestWithParam<ParamType> {
     catalog_ =
         std::make_unique<FeatureCatalog>(ds_->a.schema(), ds_->b.schema());
     catalog_->InternAllSameAttribute();
+    // The "strings" rung: a 1-byte budget refuses every id column, so
+    // each feature re-tokenizes per call through the string kernels.
     PairContext::Options opts;
-    opts.intern_tokens = std::get<0>(GetParam());
+    if (!std::get<0>(GetParam())) opts.budget = &refusing_;
     ctx_ = std::make_unique<PairContext>(ds_->a, ds_->b, *catalog_, opts);
     Rng rng(7);
     sample_ = std::make_unique<CandidateSet>(
@@ -101,6 +105,7 @@ class BlockDifferentialTest : public ::testing::TestWithParam<ParamType> {
     return BlockMatcher(opts);
   }
 
+  MemoryBudget refusing_{1, "refusing"};
   std::unique_ptr<GeneratedDataset> ds_;
   std::unique_ptr<FeatureCatalog> catalog_;
   std::unique_ptr<PairContext> ctx_;
@@ -126,6 +131,7 @@ TEST_P(BlockDifferentialTest, RunWithStateBitIdentical) {
   ExpectSameState(fn, block_state, serial_state);
   ExpectSameMemo(block_state.memo(), serial_state.memo());
   EXPECT_EQ(block_state.matches(), serial_state.matches());
+  EXPECT_EQ(ctx_->id_path_degraded(), !std::get<0>(GetParam()));
 }
 
 TEST_P(BlockDifferentialTest, MemoLessRunMatchesSerial) {
@@ -164,17 +170,17 @@ TEST_P(BlockDifferentialTest, WarmMemoReusedIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BlockDifferentialTest,
-    ::testing::Combine(::testing::Bool(),            // interning
+    ::testing::Combine(::testing::Bool(),            // id columns
                        ::testing::Values(1, 3, 8),   // rules (CNF 1..5 each)
                        ::testing::Values(1, 2, 3),   // generator seed
                        ::testing::Values(size_t{64}, size_t{192},
                                          size_t{1024}, size_t{0})),
     [](const ::testing::TestParamInfo<ParamType>& info) {
-      const bool intern = std::get<0>(info.param);
+      const bool ids = std::get<0>(info.param);
       const int rules = std::get<1>(info.param);
       const int seed = std::get<2>(info.param);
       const size_t block = std::get<3>(info.param);
-      return std::string(intern ? "ids" : "strings") + "_r" +
+      return std::string(ids ? "ids" : "strings") + "_r" +
              std::to_string(rules) + "_s" + std::to_string(seed) +
              (block == 0 ? std::string("_auto")
                          : "_b" + std::to_string(block));

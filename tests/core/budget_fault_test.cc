@@ -214,8 +214,8 @@ TEST_F(BudgetFaultTest, CacheDegradationUnderRealPressureIsBitIdentical) {
   const Outcome want = Baseline();
   // Measure what an unconstrained session actually holds, then rerun with
   // a budget that fits the memo but not all the caches: the context must
-  // degrade (drop id columns, stop token caching) instead of failing, and
-  // the results must not move by a single bit.
+  // degrade (drop id columns, re-tokenize per call) instead of failing,
+  // and the results must not move by a single bit.
   DebugSession::MemoryFootprint full;
   {
     auto s = MakeSession(DebugSession::Options{});
@@ -223,10 +223,9 @@ TEST_F(BudgetFaultTest, CacheDegradationUnderRealPressureIsBitIdentical) {
     full = s->Footprint();
   }
   ASSERT_GT(full.memo_bytes, 0u);
-  ASSERT_GT(full.token_cache_bytes + full.id_cache_bytes, 0u);
+  ASSERT_GT(full.id_cache_bytes, 0u);
   const size_t limit = full.memo_bytes + full.interner_bytes +
-                       (full.token_cache_bytes + full.id_cache_bytes) / 2 +
-                       (64u << 10);
+                       full.id_cache_bytes / 2 + (64u << 10);
   MemoryBudget budget(limit, "tight");
   DebugSession::Options o;
   o.budget = &budget;
@@ -238,8 +237,7 @@ TEST_F(BudgetFaultTest, CacheDegradationUnderRealPressureIsBitIdentical) {
   // The squeeze must actually have happened for this test to mean
   // anything.
   EXPECT_GT(s->context().budget_denials() +
-                (s->context().id_path_degraded() ? 1u : 0u) +
-                (s->context().token_cache_degraded() ? 1u : 0u),
+                (s->context().id_path_degraded() ? 1u : 0u),
             0u);
   s.reset();
   EXPECT_EQ(budget.used(), 0u);

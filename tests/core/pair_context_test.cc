@@ -45,33 +45,31 @@ TEST_F(PairContextTest, TokenBasedFeatureMatchesRegistry) {
 }
 
 TEST_F(PairContextTest, CachingDoesNotChangeValues) {
+  // Both rungs of the ladder return the string oracle's value: the id
+  // columns, and re-tokenizing per call once a budget refuses the cache.
   const FeatureId jac =
       *catalog_.InternByName(SimFunction::kJaccard, "street", "street");
   const FeatureId tri =
       *catalog_.InternByName(SimFunction::kTrigram, "name", "name");
   PairContext cached(a_, b_, catalog_);
-  PairContext strings(a_, b_, catalog_,
-                      PairContext::Options{.intern_tokens = false});
+  MemoryBudget refusing(1, "refusing");
   PairContext uncached(a_, b_, catalog_,
-                       PairContext::Options{.cache_tokens = false});
+                       PairContext::Options{.budget = &refusing});
+  testing::StringOracle oracle(a_, b_, catalog_);
   for (uint32_t i = 0; i < a_.num_rows(); ++i) {
     for (uint32_t j = 0; j < b_.num_rows(); ++j) {
-      EXPECT_DOUBLE_EQ(cached.ComputeFeature(jac, {i, j}),
-                       uncached.ComputeFeature(jac, {i, j}));
-      EXPECT_DOUBLE_EQ(cached.ComputeFeature(tri, {i, j}),
-                       uncached.ComputeFeature(tri, {i, j}));
-      EXPECT_DOUBLE_EQ(strings.ComputeFeature(jac, {i, j}),
-                       uncached.ComputeFeature(jac, {i, j}));
-      EXPECT_DOUBLE_EQ(strings.ComputeFeature(tri, {i, j}),
-                       uncached.ComputeFeature(tri, {i, j}));
+      for (const FeatureId f : {jac, tri}) {
+        EXPECT_EQ(cached.ComputeFeature(f, {i, j}), oracle(f, {i, j}));
+        EXPECT_EQ(uncached.ComputeFeature(f, {i, j}), oracle(f, {i, j}));
+      }
     }
   }
-  // Token lists are cached for the string kernels only; the id path
-  // reads id columns built from the bytes.
-  EXPECT_GT(strings.TokenCacheBytes(), 0u);
-  EXPECT_EQ(cached.TokenCacheBytes(), 0u);
+  // The id path reads id columns built from the bytes; the refused
+  // context keeps nothing resident.
   EXPECT_GT(cached.IdCacheBytes(), 0u);
-  EXPECT_EQ(uncached.TokenCacheBytes(), 0u);
+  EXPECT_TRUE(uncached.id_path_degraded());
+  EXPECT_EQ(uncached.IdCacheBytes(), 0u);
+  EXPECT_EQ(refusing.used(), 0u);
 }
 
 TEST_F(PairContextTest, TfIdfUsesCorpusModel) {
@@ -107,25 +105,33 @@ TEST_F(PairContextTest, ComputeCountTracksCalls) {
   EXPECT_EQ(ctx.compute_count(), 0u);
 }
 
-TEST_F(PairContextTest, ClearTokenCaches) {
+TEST_F(PairContextTest, DropIdCaches) {
   const FeatureId f =
       *catalog_.InternByName(SimFunction::kJaccard, "name", "name");
-  PairContext strings(a_, b_, catalog_,
-                      PairContext::Options{.intern_tokens = false});
-  strings.ComputeFeature(f, {0, 0});
-  EXPECT_GT(strings.TokenCacheBytes(), 0u);
-  strings.ClearTokenCaches();
-  EXPECT_EQ(strings.TokenCacheBytes(), 0u);
-  // Values still computable after the caches are dropped.
-  EXPECT_GE(strings.ComputeFeature(f, {0, 0}), 0.0);
-
   PairContext ctx(a_, b_, catalog_);
-  ctx.ComputeFeature(f, {0, 0});
-  EXPECT_EQ(ctx.TokenCacheBytes(), 0u);
+  const double value = ctx.ComputeFeature(f, {0, 0});
   EXPECT_GT(ctx.IdCacheBytes(), 0u);
-  ctx.ClearTokenCaches();
+  EXPECT_GT(ctx.DropIdCaches(), 0u);
   EXPECT_EQ(ctx.IdCacheBytes(), 0u);
-  EXPECT_GE(ctx.ComputeFeature(f, {0, 0}), 0.0);
+  // Values still computable after the caches are dropped (rebuilt).
+  EXPECT_EQ(ctx.ComputeFeature(f, {0, 0}), value);
+  EXPECT_GT(ctx.IdCacheBytes(), 0u);
+
+  // Dropping also ends a degradation, so a context that was refused under
+  // pressure builds its columns again once the pressure has passed.
+  MemoryBudget budget(1 << 20, "shared");
+  ASSERT_TRUE(budget.Reserve(budget.limit()).ok());  // another tenant
+  PairContext squeezed(a_, b_, catalog_,
+                       PairContext::Options{.budget = &budget});
+  EXPECT_EQ(squeezed.ComputeFeature(f, {0, 0}), value);
+  EXPECT_TRUE(squeezed.id_path_degraded());
+  EXPECT_EQ(squeezed.IdCacheBytes(), 0u);
+  budget.Release(budget.limit());
+  squeezed.DropIdCaches();
+  EXPECT_FALSE(squeezed.id_path_degraded());
+  EXPECT_EQ(squeezed.ComputeFeature(f, {0, 0}), value);
+  EXPECT_GT(squeezed.IdCacheBytes(), 0u);
+  EXPECT_GT(budget.used(), 0u);
 }
 
 TEST_F(PairContextTest, RankSnapshotIsBilledOnce) {
@@ -162,11 +168,9 @@ TEST_F(PairContextTest, RankSnapshotIsBilledOnce) {
 
   PairContext unbudgeted(a, b, catalog);
   unbudgeted.Prewarm(features);
-  ASSERT_NE(unbudgeted.interner(), nullptr);
-  const size_t reported = unbudgeted.TokenCacheBytes() +
-                          unbudgeted.IdCacheBytes() +
-                          unbudgeted.interner()->ArenaBytes() +
-                          unbudgeted.interner()->DictionaryBytes();
+  const size_t reported = unbudgeted.IdCacheBytes() +
+                          unbudgeted.interner().ArenaBytes() +
+                          unbudgeted.interner().DictionaryBytes();
 
   // What the context reports, plus two billing chunks of rounding.
   MemoryBudget budget(reported + 2 * 256 * 1024);
@@ -174,7 +178,6 @@ TEST_F(PairContextTest, RankSnapshotIsBilledOnce) {
   ctx.Prewarm(features);
   EXPECT_EQ(ctx.budget_denials(), 0u);
   EXPECT_FALSE(ctx.id_path_degraded());
-  EXPECT_FALSE(ctx.token_cache_degraded());
   EXPECT_LE(budget.used(), reported + 256 * 1024);
 }
 

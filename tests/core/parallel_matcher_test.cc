@@ -1,5 +1,6 @@
 #include "src/core/parallel_matcher.h"
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -8,8 +9,12 @@
 
 #include "src/core/memo_matcher.h"
 #include "src/core/rule_generator.h"
+#include "src/core/rule_parser.h"
 #include "src/core/sampler.h"
+#include "src/data/datasets.h"
+#include "src/util/bitmap.h"
 #include "src/util/cancellation.h"
+#include "src/util/memory_budget.h"
 #include "tests/test_util.h"
 
 namespace emdbg {
@@ -52,21 +57,28 @@ TEST_F(ParallelMatcherTest, AgreesWithSerialAcrossThreadCounts) {
 }
 
 TEST_F(ParallelMatcherTest, InterningBitIdenticalSerialAndParallel) {
-  // Same matching function evaluated three ways: serial with the string
-  // kernels (interning off), serial with the interned-id fast path, and
-  // parallel with the fast path — all three match bitmaps must be equal.
+  // Same matching function evaluated four ways: serial and 4-thread
+  // parallel, each on the interned-id columns and on the re-tokenizing
+  // string kernels (a context whose budget refuses the cache) — all four
+  // match bitmaps must be equal.
   const MatchingFunction fn = Rules(10, 19);
-  PairContext ctx_off(
-      ds_.a, ds_.b, catalog_,
-      PairContext::Options{.cache_tokens = true, .intern_tokens = false});
+  MemoryBudget refusing(1, "refusing");
+  PairContext fallback(ds_.a, ds_.b, catalog_,
+                       PairContext::Options{.budget = &refusing});
   MemoMatcher serial;
-  const Bitmap strings = serial.Run(fn, ds_.candidates, ctx_off).matches;
+  const Bitmap strings = serial.Run(fn, ds_.candidates, fallback).matches;
+  EXPECT_TRUE(fallback.id_path_degraded());
   const Bitmap ids = serial.Run(fn, ds_.candidates, *ctx_).matches;
   EXPECT_EQ(ids, strings);
   ParallelMemoMatcher parallel(
       ParallelMemoMatcher::Options{.num_threads = 4});
   PairContext ctx_fresh(ds_.a, ds_.b, catalog_);
   EXPECT_EQ(parallel.Run(fn, ds_.candidates, ctx_fresh).matches, strings);
+  PairContext fallback_fresh(ds_.a, ds_.b, catalog_,
+                             PairContext::Options{.budget = &refusing});
+  EXPECT_EQ(parallel.Run(fn, ds_.candidates, fallback_fresh).matches,
+            strings);
+  EXPECT_TRUE(fallback_fresh.id_path_degraded());
 }
 
 TEST_F(ParallelMatcherTest, CheckCacheFirstVariantAgrees) {
@@ -286,15 +298,74 @@ TEST_F(ParallelMatcherTest, CancelledRunReportsExactEvaluatedBitmap) {
 }
 
 TEST_F(ParallelMatcherTest, PrewarmMakesContextReadOnly) {
-  // After Prewarm, parallel feature computation must not grow the token
-  // caches (they are fully populated).
+  // After Prewarm, parallel feature computation must not grow the id
+  // caches (every column the features read is built).
   const MatchingFunction fn = Rules(10, 17);
   ctx_->Prewarm(fn.UsedFeatures());
-  const size_t bytes_before = ctx_->TokenCacheBytes();
+  const size_t bytes_before = ctx_->IdCacheBytes();
   ParallelMemoMatcher parallel(
       ParallelMemoMatcher::Options{.num_threads = 4});
   parallel.Run(fn, ds_.candidates, *ctx_);
-  EXPECT_EQ(ctx_->TokenCacheBytes(), bytes_before);
+  EXPECT_EQ(ctx_->IdCacheBytes(), bytes_before);
+}
+
+TEST(ParallelBudgetSqueezeTest, RefusedBuildsAreNeverRetriedPerPair) {
+  // products at scale 0.05: title's word column and its tf vectors land in
+  // different 256 KB billing chunks, so some budgets admit the column and
+  // refuse the tf vectors (or the TF-IDF weights built on them). Once a
+  // build is refused, the context must not retry it on every pair — on
+  // worker threads that was a data race — so at every budget a block pass
+  // adds a bounded number of denials, and a 4-thread run agrees with an
+  // unbudgeted serial one.
+  const GeneratedDataset ds = GenerateDataset(
+      ScaleProfile(PaperDatasetProfile(DatasetId::kProducts), 0.05));
+  FeatureCatalog catalog(ds.a.schema(), ds.b.schema());
+  const Result<MatchingFunction> fn = ParseMatchingFunction(
+      "r1: cosine(title, title) >= 0.6\n"
+      "r2: tf_idf(title, title) >= 0.6\n"
+      "r3: soft_tf_idf(title, title) >= 0.8\n"
+      "r4: jaccard(brand, brand) >= 0.9",
+      catalog);
+  ASSERT_TRUE(fn.ok()) << fn.status().ToString();
+  const std::vector<FeatureId> features = fn->UsedFeatures();
+  constexpr size_t kPairs = 2048;
+  ASSERT_GE(ds.candidates.size(), kPairs);
+  const std::vector<PairId> subset(ds.candidates.pairs().begin(),
+                                   ds.candidates.pairs().begin() + kPairs);
+  const CandidateSet pairs(subset);
+
+  PairContext unbudgeted(ds.a, ds.b, catalog);
+  const Bitmap want = MemoMatcher().Run(*fn, pairs, unbudgeted).matches;
+  unbudgeted.Prewarm(features);
+  const size_t total = unbudgeted.IdCacheBytes() +
+                       unbudgeted.interner().ArenaBytes() +
+                       unbudgeted.interner().DictionaryBytes();
+
+  const std::vector<uint64_t> mask(bitspan::Words(kPairs), ~uint64_t{0});
+  std::vector<float> out(kPairs);
+  constexpr size_t kSteps = 24;
+  for (size_t step = 0; step <= kSteps; ++step) {
+    const size_t limit = std::max<size_t>(1, total * step / kSteps);
+    MemoryBudget budget(limit, "squeeze");
+    PairContext ctx(ds.a, ds.b, catalog,
+                    PairContext::Options{.budget = &budget});
+    for (const FeatureId f : features) {
+      ctx.ComputeFeatureBlock(f, subset.data(), kPairs, mask.data(),
+                              out.data());
+    }
+    EXPECT_LE(ctx.budget_denials(), features.size())
+        << "budget " << limit << " of " << total;
+
+    MemoryBudget fresh_budget(limit, "squeeze");
+    PairContext fresh(ds.a, ds.b, catalog,
+                      PairContext::Options{.budget = &fresh_budget});
+    ParallelMemoMatcher parallel(
+        ParallelMemoMatcher::Options{.num_threads = 4});
+    EXPECT_EQ(parallel.Run(*fn, pairs, fresh).matches, want)
+        << "budget " << limit << " of " << total;
+    EXPECT_LE(fresh.budget_denials(), features.size())
+        << "budget " << limit << " of " << total;
+  }
 }
 
 }  // namespace

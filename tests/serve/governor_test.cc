@@ -288,7 +288,6 @@ TEST_F(GovernorTest, StatsExposeGovernorByteCounts) {
   EXPECT_GT(StatValue(body, "mem_used"), 0) << body;
   EXPECT_EQ(StatValue(body, "mem_limit"), long{256} << 20) << body;
   EXPECT_GE(StatValue(body, "interner_bytes"), 0) << body;
-  EXPECT_GE(StatValue(body, "token_bytes"), 0) << body;
   EXPECT_GE(StatValue(body, "id_bytes"), 0) << body;
   // Releasing the session drains its billing from the shared budget.
   ASSERT_TRUE(c.Call("close").ok());

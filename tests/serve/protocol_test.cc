@@ -1,15 +1,19 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/rule_parser.h"
 #include "src/serve/session_digest.h"
 #include "src/serve/wire.h"
+#include "src/util/crc32c.h"
 #include "tests/test_util.h"
 
 namespace emdbg {
@@ -203,6 +207,53 @@ TEST_F(SessionDigestTest, DigestForcesARun) {
   (void)SessionStateDigest(*s);
   EXPECT_TRUE(s->has_run()) << "the digest covers match decisions, so it "
                                "must bring the session up to date first";
+}
+
+TEST_F(SessionDigestTest, PredicateOrderDoesNotMoveTheDigest) {
+  // The same CNF written in two predicate orders, kept as written: one
+  // logical state, so one digest.
+  std::unique_ptr<DebugSession> sessions[2];
+  const char* const texts[2] = {
+      "r1: jaccard(title, title) >= 0.4 AND cosine(brand, brand) >= 0.5",
+      "r1: cosine(brand, brand) >= 0.5 AND jaccard(title, title) >= 0.4"};
+  for (int i = 0; i < 2; ++i) {
+    GeneratedDataset ds = testing::SmallProducts();
+    DebugSession::Options o;
+    o.ordering = OrderingStrategy::kAsWritten;
+    sessions[i] = std::make_unique<DebugSession>(
+        std::move(ds.a), std::move(ds.b), std::move(ds.candidates), o);
+    ASSERT_TRUE(sessions[i]->AddRuleText(texts[i]).ok());
+  }
+  ASSERT_NE(RuleToDsl(sessions[0]->function().rule(0),
+                      sessions[0]->catalog()),
+            RuleToDsl(sessions[1]->function().rule(0),
+                      sessions[1]->catalog()))
+      << "the two sessions must hold the predicates in different orders";
+  EXPECT_EQ(sessions[0]->Run().Count(), sessions[1]->Run().Count());
+  EXPECT_EQ(SessionStateDigest(*sessions[0]),
+            SessionStateDigest(*sessions[1]));
+}
+
+TEST_F(SessionDigestTest, OnePredicateRulesHashAsTheirSortedRuleDsl) {
+  // The line of a one-predicate rule is exactly RuleToDsl's, so a client
+  // can recompute the digest: CRC-32C over the sorted RuleToDsl lines,
+  // chained with the match bitmap words.
+  auto s = NewSession();
+  ASSERT_TRUE(s->AddRuleText("r2: jaccard(brand, brand) >= 0.7").ok());
+  ASSERT_TRUE(s->AddRuleText("r1: jaccard(title, title) >= 0.5").ok());
+  ASSERT_TRUE(s->AddRuleText("r3: trigram(modelno, modelno) >= 0.6").ok());
+  const uint32_t digest = SessionStateDigest(*s);
+  std::vector<std::string> lines;
+  for (const Rule& rule : s->function().rules()) {
+    ASSERT_EQ(rule.size(), 1u);
+    lines.push_back(RuleToDsl(rule, s->catalog()));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  const std::vector<uint64_t>& words = s->Run().words();
+  EXPECT_EQ(digest, Crc32cExtend(Crc32c(text), words.data(),
+                                 words.size() * sizeof(uint64_t)));
 }
 
 TEST_F(SessionDigestTest, EmptyRuleSetHasAStableDigest) {

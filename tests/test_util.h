@@ -3,7 +3,9 @@
 
 #include <clocale>
 #include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/block/candidate_pairs.h"
@@ -11,6 +13,9 @@
 #include "src/core/matching_function.h"
 #include "src/data/generator.h"
 #include "src/data/table.h"
+#include "src/text/similarity_registry.h"
+#include "src/text/tfidf.h"
+#include "src/text/tokenizer.h"
 
 namespace emdbg::testing {
 
@@ -82,6 +87,43 @@ inline GeneratedDataset SmallProducts(uint64_t seed = 99) {
   p.seed = seed;
   return GenerateDataset(p);
 }
+
+/// The string oracle for PairContext: ComputeSimilarity on the raw
+/// attribute text, with a TfIdfModel built here from both tables' word
+/// tokens for the TF-IDF family, float-quantized as the context returns
+/// values.
+class StringOracle {
+ public:
+  /// The tables and catalog must outlive the oracle.
+  StringOracle(const Table& a, const Table& b, const FeatureCatalog& catalog)
+      : a_(a), b_(b), catalog_(catalog) {}
+
+  double operator()(FeatureId f, PairId pair) {
+    const Feature& feature = catalog_.feature(f);
+    const TfIdfModel* model = nullptr;
+    if (GetSimFunctionInfo(feature.fn).needs_tfidf) {
+      TfIdfModel& m = models_[{feature.attr_a, feature.attr_b}];
+      if (m.document_count() == 0) {
+        for (uint32_t row = 0; row < a_.num_rows(); ++row) {
+          m.AddDocument(AlnumTokenize(a_.Value(row, feature.attr_a)));
+        }
+        for (uint32_t row = 0; row < b_.num_rows(); ++row) {
+          m.AddDocument(AlnumTokenize(b_.Value(row, feature.attr_b)));
+        }
+      }
+      model = &m;
+    }
+    return static_cast<float>(ComputeSimilarity(
+        feature.fn, a_.Value(pair.a, feature.attr_a),
+        b_.Value(pair.b, feature.attr_b), model));
+  }
+
+ private:
+  const Table& a_;
+  const Table& b_;
+  const FeatureCatalog& catalog_;
+  std::map<std::pair<AttrIndex, AttrIndex>, TfIdfModel> models_;
+};
 
 }  // namespace emdbg::testing
 

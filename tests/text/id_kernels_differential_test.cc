@@ -1,8 +1,8 @@
 // Randomized differential tests for the interned-id fast path: every id
 // kernel must return *bit-identical* doubles to its string counterpart,
-// and PairContext with interning on must agree bit-for-bit with interning
-// off for all 16 similarity functions — across empty values, unicode
-// bytes, and duplicate-heavy token lists.
+// and PairContext must agree bit-for-bit with the string oracles for all
+// 16 similarity functions on both rungs of its ladder — across empty
+// values, unicode bytes, and duplicate-heavy token lists.
 
 #include <algorithm>
 #include <cstring>
@@ -23,8 +23,11 @@
 #include "src/text/tfidf.h"
 #include "src/text/token_interner.h"
 #include "src/text/tokenizer.h"
+#include "src/util/bitmap.h"
+#include "src/util/memory_budget.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace emdbg {
 namespace {
@@ -288,8 +291,10 @@ TEST(IdKernelsDifferentialTest, MongeElkanBitIdentical) {
   }
 }
 
-// End-to-end: PairContext with interning on agrees bit-for-bit with
-// interning off for all 16 similarity functions over >= 1000 random pairs.
+// End-to-end: PairContext agrees bit-for-bit with the string oracles for
+// all 16 similarity functions over 1600 random pairs, on both rungs of its
+// ladder — id columns, and re-tokenizing per call once a budget refuses
+// the cache — through both ComputeFeatureBlock and ComputeFeature.
 class PairContextDifferentialTest : public ::testing::Test {
  protected:
   PairContextDifferentialTest() {
@@ -304,64 +309,126 @@ class PairContextDifferentialTest : public ::testing::Test {
     for (const SimFunction fn : AllSimFunctions()) {
       features_.push_back(*catalog_.InternByName(fn, "text", "text"));
     }
+    for (uint32_t i = 0; i < a_.num_rows(); ++i) {
+      for (uint32_t j = 0; j < b_.num_rows(); ++j) pairs_.push_back({i, j});
+    }
+  }
+
+  /// Every feature on every pair equals the oracle: first as one block
+  /// (which builds the feature's structures when `ctx` is cold), then pair
+  /// by pair.
+  void ExpectOracleValues(PairContext& ctx) {
+    testing::StringOracle oracle(a_, b_, catalog_);
+    const std::vector<uint64_t> mask(bitspan::Words(pairs_.size()),
+                                     ~uint64_t{0});
+    for (const FeatureId f : features_) {
+      std::vector<float> block(pairs_.size());
+      ctx.ComputeFeatureBlock(f, pairs_.data(), pairs_.size(), mask.data(),
+                              block.data());
+      for (size_t k = 0; k < pairs_.size(); ++k) {
+        const double want = oracle(f, pairs_[k]);
+        EXPECT_EQ(static_cast<double>(block[k]), want)
+            << catalog_.Name(f) << " block lane " << k;
+        EXPECT_EQ(ctx.ComputeFeature(f, pairs_[k]), want)
+            << catalog_.Name(f) << " on pair (" << pairs_[k].a << ","
+            << pairs_[k].b << ")";
+      }
+    }
   }
 
   Table a_;
   Table b_;
   FeatureCatalog catalog_;
   std::vector<FeatureId> features_;
+  std::vector<PairId> pairs_;
 };
 
 TEST_F(PairContextDifferentialTest, AllSixteenFunctionsBitIdentical) {
   PairContext with_ids(a_, b_, catalog_);
-  PairContext without_ids(
-      a_, b_, catalog_,
-      PairContext::Options{.cache_tokens = true, .intern_tokens = false});
-  for (const FeatureId f : features_) {
-    for (uint32_t i = 0; i < a_.num_rows(); ++i) {
-      for (uint32_t j = 0; j < b_.num_rows(); ++j) {
-        EXPECT_EQ(with_ids.ComputeFeature(f, {i, j}),
-                  without_ids.ComputeFeature(f, {i, j}))
-            << catalog_.Name(f) << " on pair (" << i << "," << j << ")";
-      }
-    }
-  }
+  ExpectOracleValues(with_ids);
+  EXPECT_FALSE(with_ids.id_path_degraded());
+  EXPECT_GT(with_ids.IdCacheBytes(), 0u);
+
+  MemoryBudget refusing(1, "refusing");
+  PairContext fallback(a_, b_, catalog_,
+                       PairContext::Options{.budget = &refusing});
+  ExpectOracleValues(fallback);
+  EXPECT_TRUE(fallback.id_path_degraded());
+  EXPECT_EQ(fallback.IdCacheBytes(), 0u);
 }
 
 TEST_F(PairContextDifferentialTest, PrewarmedParallelBuildBitIdentical) {
   // Prewarm with a pool (parallel id-array construction), then compare
-  // against the lazily built string path.
+  // against the oracles; the refused context's Prewarm builds the string
+  // TF-IDF model instead.
   ThreadPool pool(4);
   PairContext with_ids(a_, b_, catalog_);
   with_ids.Prewarm(features_, &pool);
-  PairContext without_ids(
-      a_, b_, catalog_,
-      PairContext::Options{.cache_tokens = true, .intern_tokens = false});
-  for (const FeatureId f : features_) {
-    for (uint32_t i = 0; i < a_.num_rows(); ++i) {
-      for (uint32_t j = 0; j < b_.num_rows(); ++j) {
-        EXPECT_EQ(with_ids.ComputeFeature(f, {i, j}),
-                  without_ids.ComputeFeature(f, {i, j}))
-            << catalog_.Name(f) << " on pair (" << i << "," << j << ")";
-      }
-    }
-  }
-  EXPECT_GT(with_ids.IdCacheBytes(), 0u);
-  ASSERT_NE(with_ids.interner(), nullptr);
-  EXPECT_GT(with_ids.interner()->ArenaBytes(), 0u);
-  EXPECT_EQ(without_ids.interner(), nullptr);
-  EXPECT_EQ(without_ids.IdCacheBytes(), 0u);
+  const size_t warm_bytes = with_ids.IdCacheBytes();
+  EXPECT_GT(warm_bytes, 0u);
+  EXPECT_GT(with_ids.interner().ArenaBytes(), 0u);
+  ExpectOracleValues(with_ids);
+  EXPECT_EQ(with_ids.IdCacheBytes(), warm_bytes);
+
+  MemoryBudget refusing(1, "refusing");
+  PairContext fallback(a_, b_, catalog_,
+                       PairContext::Options{.budget = &refusing});
+  fallback.Prewarm(features_, &pool);
+  EXPECT_TRUE(fallback.id_path_degraded());
+  const uint64_t denials = fallback.budget_denials();
+  ExpectOracleValues(fallback);
+  EXPECT_EQ(fallback.budget_denials(), denials);
+  EXPECT_EQ(fallback.IdCacheBytes(), 0u);
 }
 
-TEST_F(PairContextDifferentialTest, ClearTokenCachesKeepsValues) {
+TEST_F(PairContextDifferentialTest, DropIdCachesKeepsValues) {
   PairContext ctx(a_, b_, catalog_);
+  testing::StringOracle oracle(a_, b_, catalog_);
   std::vector<double> before;
   for (const FeatureId f : features_) {
     before.push_back(ctx.ComputeFeature(f, {3, 5}));
+    EXPECT_EQ(before.back(), oracle(f, {3, 5})) << catalog_.Name(f);
   }
-  ctx.ClearTokenCaches();
+  ctx.DropIdCaches();
   for (size_t k = 0; k < features_.size(); ++k) {
     EXPECT_EQ(ctx.ComputeFeature(features_[k], {3, 5}), before[k]);
+  }
+}
+
+TEST(IdfByIdTest, EqualsTfIdfModelIdfBitForBit) {
+  // The id path's idf table, from document frequencies counted per word
+  // id, memcmp-equal to TfIdfModel::Idf of each id's text — including ids
+  // interned only by another attribute, which have df = 0 in the model.
+  const GeneratedDataset ds = testing::SmallProducts();
+  FeatureCatalog catalog(ds.a.schema(), ds.b.schema());
+  catalog.InternAllSameAttribute();
+  PairContext ctx(ds.a, ds.b, catalog);
+  std::vector<FeatureId> words;
+  for (AttrIndex attr = 0; attr < ds.a.schema().size(); ++attr) {
+    words.push_back(catalog.Intern(Feature{SimFunction::kJaccard, attr, attr}));
+  }
+  ctx.Prewarm(words);  // interns every attribute's words first
+  for (AttrIndex attr = 0; attr < ds.a.schema().size(); ++attr) {
+    TfIdfModel model;
+    for (uint32_t row = 0; row < ds.a.num_rows(); ++row) {
+      model.AddDocument(AlnumTokenize(ds.a.Value(row, attr)));
+    }
+    for (uint32_t row = 0; row < ds.b.num_rows(); ++row) {
+      model.AddDocument(AlnumTokenize(ds.b.Value(row, attr)));
+    }
+    const std::vector<double>* idf = ctx.IdfById(attr, attr);
+    ASSERT_NE(idf, nullptr);
+    ASSERT_EQ(idf->size(), ctx.interner().size());
+    size_t unseen = 0;
+    for (uint32_t id = 0; id < idf->size(); ++id) {
+      const std::string text(ctx.interner().Text(id));
+      const double want = model.Idf(text);
+      EXPECT_EQ(std::memcmp(&(*idf)[id], &want, sizeof(double)), 0)
+          << "attr " << attr << " id " << id << " '" << text << "'";
+      unseen += want == TfIdfModel::SmoothedIdf(model.document_count(), 0);
+    }
+    EXPECT_GT(unseen, 0u) << "attr " << attr
+                          << ": no id interned from another attribute";
   }
 }
 

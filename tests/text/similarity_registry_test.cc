@@ -76,23 +76,6 @@ TEST(ComputeSimilarityTest, StringOverloadBasics) {
                    0.5);
 }
 
-TEST(ComputeSimilarityTest, PrecomputedTokensMatchOnTheFly) {
-  const std::string a = "Sony DSC Camera";
-  const std::string b = "sony camera dsc-w800";
-  const TokenList wa = AlnumTokenize(a);
-  const TokenList wb = AlnumTokenize(b);
-  const TokenList qa = QGramTokenize(a, 3);
-  const TokenList qb = QGramTokenize(b, 3);
-  for (const SimFunction fn :
-       {SimFunction::kJaccard, SimFunction::kCosine, SimFunction::kDice,
-        SimFunction::kOverlap, SimFunction::kTrigram}) {
-    const double lazy = ComputeSimilarity(fn, a, b);
-    const double pre = ComputeSimilarity(fn, SimArg{a, &wa, &qa},
-                                         SimArg{b, &wb, &qb});
-    EXPECT_DOUBLE_EQ(lazy, pre) << GetSimFunctionInfo(fn).name;
-  }
-}
-
 TEST(ComputeSimilarityTest, TfIdfRequiresModel) {
   // Missing model is a defensive 0.0, not a crash.
   EXPECT_DOUBLE_EQ(ComputeSimilarity(SimFunction::kTfIdf, "a b", "a b"),

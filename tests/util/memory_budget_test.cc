@@ -95,37 +95,40 @@ TEST_F(MemoryBudgetTest, ReclaimersRunInPriorityThenColdnessOrder) {
   ASSERT_TRUE(b.Reserve(100).ok());
   std::vector<std::string> order;
   // Register out of order: memo shards (latest class) first.
-  b.AddReclaimer(MemoryBudget::kReclaimMemoShards, "memo",
-                 [&](size_t) -> size_t {
-                   order.push_back("memo");
-                   b.Release(40);
-                   return 40;
-                 });
-  const uint64_t tok_id =
-      b.AddReclaimer(MemoryBudget::kReclaimTokenCaches, "tok-hot",
+  const uint64_t memo_hot =
+      b.AddReclaimer(MemoryBudget::kReclaimMemoShards, "memo-hot",
                      [&](size_t) -> size_t {
-                       order.push_back("tok-hot");
+                       order.push_back("memo-hot");
+                       b.Release(40);
+                       return 40;
+                     });
+  b.AddReclaimer(MemoryBudget::kReclaimMemoShards, "memo-cold",
+                 [&](size_t) -> size_t {
+                   order.push_back("memo-cold");
+                   return 0;
+                 });
+  const uint64_t ids_hot =
+      b.AddReclaimer(MemoryBudget::kReclaimIdCaches, "ids-hot",
+                     [&](size_t) -> size_t {
+                       order.push_back("ids-hot");
                        return 0;
                      });
-  b.AddReclaimer(MemoryBudget::kReclaimTokenCaches, "tok-cold",
+  b.AddReclaimer(MemoryBudget::kReclaimIdCaches, "ids-cold",
                  [&](size_t) -> size_t {
-                   order.push_back("tok-cold");
+                   order.push_back("ids-cold");
                    return 0;
                  });
-  b.AddReclaimer(MemoryBudget::kReclaimIdCaches, "ids",
-                 [&](size_t) -> size_t {
-                   order.push_back("ids");
-                   return 0;
-                 });
-  b.Touch(tok_id);  // tok-hot is now warmer than tok-cold
+  b.Touch(ids_hot);   // ids-hot is now warmer than ids-cold
+  b.Touch(memo_hot);  // and memo-hot warmer than memo-cold
   ASSERT_TRUE(b.Reserve(30).ok());
-  // Cheapest class first (ids), then token caches coldest-first, then the
-  // memo — which frees enough, so the walk stops there.
+  // Cheapest class first (id caches) coldest-first, then the memo shards
+  // coldest-first — the warmer shard frees enough, so the walk stops
+  // there.
   ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], "ids");
-  EXPECT_EQ(order[1], "tok-cold");
-  EXPECT_EQ(order[2], "tok-hot");
-  EXPECT_EQ(order[3], "memo");
+  EXPECT_EQ(order[0], "ids-cold");
+  EXPECT_EQ(order[1], "ids-hot");
+  EXPECT_EQ(order[2], "memo-cold");
+  EXPECT_EQ(order[3], "memo-hot");
   EXPECT_GE(b.stats().reclaim_runs, 1u);
   EXPECT_EQ(b.stats().reclaimed_bytes, 40u);
 }
@@ -139,7 +142,7 @@ TEST_F(MemoryBudgetTest, ReclaimStopsEarlyOnceTheRequestFits) {
                    b.Release(50);
                    return 50;
                  });
-  b.AddReclaimer(MemoryBudget::kReclaimTokenCaches, "second",
+  b.AddReclaimer(MemoryBudget::kReclaimMemoShards, "second",
                  [&](size_t) -> size_t {
                    second_ran++;
                    return 0;

@@ -283,8 +283,8 @@ int main(int argc, char** argv) {
         stderr,
         "stats: sessions=%zu conns=%zu executed=%llu shed=%llu "
         "mem_used=%zu mem_limit=%zu mem_denials=%llu reclaims=%llu "
-        "reclaimed=%llu replays=%llu stuck=%llu memo=%zu tokens=%zu "
-        "ids=%zu interner=%zu\n",
+        "reclaimed=%llu replays=%llu stuck=%llu memo=%zu ids=%zu "
+        "interner=%zu\n",
         s.live_sessions, s.live_connections,
         static_cast<unsigned long long>(s.requests_executed),
         static_cast<unsigned long long>(s.requests_shed), s.mem_used_bytes,
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.mem_reclaimed_bytes),
         static_cast<unsigned long long>(s.idem_replays),
         static_cast<unsigned long long>(s.tasks_stuck), s.memo_bytes,
-        s.token_cache_bytes, s.id_cache_bytes, s.interner_bytes);
+        s.id_cache_bytes, s.interner_bytes);
   }
 
   std::fprintf(stderr, "shutting down: draining + checkpointing...\n");
