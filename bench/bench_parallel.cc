@@ -1,7 +1,8 @@
 /// Extension bench: the work-stealing execution engine.
 ///
-/// Grows scaling curves for the parallel DM+EE matcher over 1..N threads
-/// on two workload shapes drawn from the same per-pair cost profile:
+/// Grows scaling curves for the production engine (BlockMatcher over a
+/// pool) over 1..N threads on two workload shapes drawn from the same
+/// per-pair cost profile:
 ///
 ///   * uniform — the items are shuffled, so every static span holds
 ///     roughly the same total work (the scheduler-friendly case);
@@ -11,13 +12,14 @@
 ///     rule while non-matches evaluate every predicate.
 ///
 /// For each (workload, threads) point both schedules are measured:
-/// `static` (each worker drains only its own equal span — the
-/// pre-work-stealing baseline) and `dynamic` (chunk claiming + stealing).
-/// Reported per point: wall-clock, speedup vs. the serial MemoMatcher on
-/// the same workload, the memo hit rate, and a *makespan model* — a
-/// deterministic greedy simulation of the pool's chunk claiming over the
-/// measured cost profile, i.e. the finish time of the slowest worker on
-/// ideal hardware with one core per worker. Wall-clock shows the real
+/// `static` (each worker drains only its own equal span of blocks — the
+/// pre-work-stealing baseline) and `dynamic` (block claiming + stealing).
+/// Reported per point: the median wall-clock over reps with its
+/// quartiles, the median speedup vs. the same engine in one thread (no
+/// pool) on the same workload, the memo hit rate, and a *makespan model*
+/// — a deterministic greedy simulation of the pool's block claiming over
+/// the measured cost profile, i.e. the finish time of the slowest worker
+/// on ideal hardware with one core per worker. Wall-clock shows the real
 /// effect on multi-core machines; the makespan model isolates scheduling
 /// quality independently of how many cores this machine happens to have
 /// (on a single-core host, time-slicing makes every schedule's
@@ -34,9 +36,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/core/memo_matcher.h"
+#include "src/core/block_matcher.h"
 #include "src/core/ordering.h"
-#include "src/core/parallel_matcher.h"
+#include "src/util/stats.h"
 #include "src/util/stopwatch.h"
 #include "src/util/string_util.h"
 
@@ -133,37 +135,52 @@ std::vector<Workload> BuildWorkloads(const CandidateSet& pairs,
   return out;
 }
 
+/// Median and quartiles of one point's wall-clock over reps.
+struct Timing {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+
+  static Timing Of(const std::vector<double>& ms) {
+    return Timing{Median(ms), Quantile(ms, 0.25), Quantile(ms, 0.75)};
+  }
+};
+
 struct Point {
   std::string workload;
   std::string schedule;
   size_t threads = 0;
-  double ms = 0.0;
+  Timing ms;
+  /// Median of the per-rep speedups over the serial median.
   double speedup_vs_serial = 0.0;
   double memo_hit_rate = 0.0;
   /// Modeled finish time of the slowest worker, in predicate
-  /// evaluations, from the greedy chunk-claiming simulation below.
+  /// evaluations, from the greedy block-claiming simulation below.
   uint64_t makespan = 0;
 };
 
-size_t RoundUpAlign(size_t v) {
-  constexpr size_t a = ThreadPool::kIndexAlign;
-  return (v + a - 1) / a * a;
+/// Per-block cost: the sum of its pairs' costs (block b covers pairs
+/// [b*B, min((b+1)*B, n))).
+std::vector<uint64_t> BlockCosts(const std::vector<uint64_t>& cost,
+                                 size_t block) {
+  std::vector<uint64_t> out((cost.size() + block - 1) / block, 0);
+  for (size_t i = 0; i < cost.size(); ++i) out[i / block] += cost[i];
+  return out;
 }
 
-/// Deterministic model of one ParallelFor over `cost`: replicates the
-/// pool's span/cursor/grain layout, then greedily hands the next chunk
-/// (own span first, then stealing, exactly like RunWorker) to the worker
-/// with the smallest virtual time. Returns the makespan — the virtual
-/// finish time of the slowest worker, i.e. the run's wall-clock on ideal
-/// hardware with one core per worker.
+/// Deterministic model of BlockMatcher's ParallelFor over blocks with
+/// per-block `cost`: replicates the pool's span/cursor/grain layout at
+/// alignment 1, then greedily hands the next chunk of blocks (own span
+/// first, then stealing, exactly like RunWorker) to the worker with the
+/// smallest virtual time. Returns the makespan — the virtual finish time
+/// of the slowest worker, i.e. the run's wall-clock on ideal hardware
+/// with one core per worker.
 uint64_t SimulateMakespan(const std::vector<uint64_t>& cost, size_t workers,
                           bool steal) {
   const size_t n = cost.size();
   const size_t k = std::max<size_t>(1, workers);
-  const size_t grain =
-      std::max<size_t>(ThreadPool::kIndexAlign, RoundUpAlign(n / (k * 16 + 1)));
-  const size_t span =
-      std::max(RoundUpAlign((n + k - 1) / k), ThreadPool::kIndexAlign);
+  const size_t grain = std::max<size_t>(1, n / (k * 16 + 1));
+  const size_t span = std::max<size_t>(1, (n + k - 1) / k);
   std::vector<size_t> next(k), end(k);
   for (size_t w = 0; w < k; ++w) {
     next[w] = std::min(w * span, n);
@@ -209,7 +226,8 @@ double HitRate(const MatchStats& s) {
 }
 
 void WriteJson(const BenchOptions& opts, const BenchEnv& env, size_t hw,
-               const std::vector<std::pair<std::string, double>>& serial,
+               size_t block,
+               const std::vector<std::pair<std::string, Timing>>& serial,
                const std::vector<Point>& points, double improvement,
                double wallclock_improvement, double model_improvement,
                const char* improvement_metric, const char* path) {
@@ -227,6 +245,9 @@ void WriteJson(const BenchOptions& opts, const BenchEnv& env, size_t hw,
   std::fprintf(f, "  \"candidates\": %zu,\n", env.ds.candidates.size());
   std::fprintf(f, "  \"rules\": %zu,\n", opts.rules);
   std::fprintf(f, "  \"reps\": %zu,\n", opts.reps);
+  std::fprintf(f, "  \"engine\": \"BlockMatcher\",\n");
+  std::fprintf(f, "  \"block_size\": %zu,\n", block);
+  std::fprintf(f, "  \"statistic\": \"median over reps, with quartiles\",\n");
   std::fprintf(f, "  \"hardware_threads\": %zu,\n", hw);
   if (hw < 2) {
     // On a single-core box the >1-thread wall-clock points measure
@@ -245,8 +266,11 @@ void WriteJson(const BenchOptions& opts, const BenchEnv& env, size_t hw,
   }
   std::fprintf(f, "  \"serial_ms\": {");
   for (size_t i = 0; i < serial.size(); ++i) {
-    std::fprintf(f, "%s\"%s\": %.3f", i == 0 ? "" : ", ",
-                 serial[i].first.c_str(), serial[i].second);
+    const Timing& t = serial[i].second;
+    std::fprintf(f, "%s\"%s\": {\"median\": %.3f, \"q1\": %.3f, "
+                 "\"q3\": %.3f}",
+                 i == 0 ? "" : ", ", serial[i].first.c_str(), t.median, t.q1,
+                 t.q3);
   }
   std::fprintf(f, "},\n");
   std::fprintf(f,
@@ -263,11 +287,13 @@ void WriteJson(const BenchOptions& opts, const BenchEnv& env, size_t hw,
     const Point& p = points[i];
     std::fprintf(f,
                  "    {\"workload\": \"%s\", \"schedule\": \"%s\", "
-                 "\"threads\": %zu, \"ms\": %.3f, "
+                 "\"threads\": %zu, \"ms\": %.3f, \"ms_q1\": %.3f, "
+                 "\"ms_q3\": %.3f, "
                  "\"speedup_vs_serial\": %.3f, \"memo_hit_rate\": %.4f, "
                  "\"model_makespan\": %llu}%s\n",
-                 p.workload.c_str(), p.schedule.c_str(), p.threads, p.ms,
-                 p.speedup_vs_serial, p.memo_hit_rate,
+                 p.workload.c_str(), p.schedule.c_str(), p.threads,
+                 p.ms.median, p.ms.q1, p.ms.q3, p.speedup_vs_serial,
+                 p.memo_hit_rate,
                  static_cast<unsigned long long>(p.makespan),
                  i + 1 == points.size() ? "" : ",");
   }
@@ -280,7 +306,8 @@ void WriteJson(const BenchOptions& opts, const BenchEnv& env, size_t hw,
 
 void Run(const BenchOptions& opts) {
   const BenchEnv env = BenchEnv::Make(opts);
-  PrintHeader("Extension: work-stealing parallel DM+EE", opts, env);
+  PrintHeader("Extension: BlockMatcher over a work-stealing pool", opts,
+              env);
   MatchingFunction fn = env.RuleSubset(opts.rules, 12000);
   const CostModel model =
       CostModel::EstimateForFunction(fn, *env.ctx, env.sample);
@@ -322,68 +349,81 @@ void Run(const BenchOptions& opts) {
     thread_counts.push_back(hw);
   }
 
-  std::vector<std::pair<std::string, double>> serial_ms;
+  const size_t block = BlockMatcher::ResolveBlockSize({}, fn);
+  std::printf("blocks of %zu pairs\n", block);
+  std::vector<std::pair<std::string, Timing>> serial_ms;
   std::vector<Point> points;
   double skewed_static_8t = 0.0, skewed_dynamic_8t = 0.0;
   uint64_t skewed_static_8t_model = 0, skewed_dynamic_8t_model = 0;
 
-  for (const Workload& w : workloads) {
-    double serial = 0.0;
-    double serial_hit_rate = 0.0;
+  // Wall-clock of `reps` runs of `matcher` over `pairs`; the hit rate of
+  // the last.
+  auto time_runs = [&](BlockMatcher& matcher, const CandidateSet& pairs,
+                       double* hit_rate) {
+    std::vector<double> ms;
     for (size_t rep = 0; rep < opts.reps; ++rep) {
-      MemoMatcher matcher;
       Stopwatch timer;
-      const MatchResult r = matcher.Run(fn, w.pairs, *env.ctx);
-      serial += timer.ElapsedMillis();
-      serial_hit_rate = HitRate(r.stats);
+      const MatchResult r = matcher.Run(fn, pairs, *env.ctx);
+      ms.push_back(timer.ElapsedMillis());
+      *hit_rate = HitRate(r.stats);
     }
-    serial /= static_cast<double>(opts.reps);
+    return ms;
+  };
+
+  for (const Workload& w : workloads) {
+    double serial_hit_rate = 0.0;
+    BlockMatcher serial_matcher;
+    const std::vector<double> serial_runs =
+        time_runs(serial_matcher, w.pairs, &serial_hit_rate);
+    const Timing serial = Timing::Of(serial_runs);
     serial_ms.emplace_back(w.name, serial);
+    const std::vector<uint64_t> block_cost = BlockCosts(w.cost, block);
     const uint64_t work = std::accumulate(w.cost.begin(), w.cost.end(),
                                           uint64_t{0});
-    std::printf("\n[%s] serial DM+EE: %.1f ms (memo hit rate %.1f%%)\n",
-                w.name.c_str(), serial, 100.0 * serial_hit_rate);
-    std::printf("%8s %9s %10s %10s %12s %10s %14s\n", "threads",
-                "schedule", "ms", "speedup", "vs-static", "hit-rate",
-                "model-balance");
+    std::printf("\n[%s] serial DM+EE (no pool): median %.1f ms "
+                "[%.1f, %.1f] (memo hit rate %.1f%%)\n",
+                w.name.c_str(), serial.median, serial.q1, serial.q3,
+                100.0 * serial_hit_rate);
+    std::printf("%8s %9s %10s %17s %10s %12s %10s %14s\n", "threads",
+                "schedule", "median", "[q1, q3] ms", "speedup", "vs-static",
+                "hit-rate", "model-balance");
 
     for (const size_t threads : thread_counts) {
       double static_pt_ms = 0.0;
       for (const bool dynamic : {false, true}) {
         ThreadPool pool(threads);
-        double ms = 0.0;
+        BlockMatcher matcher(BlockMatcher::Options{
+            .pool = &pool, .dynamic_schedule = dynamic});
         double hit_rate = 0.0;
-        for (size_t rep = 0; rep < opts.reps; ++rep) {
-          ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-              .pool = &pool, .dynamic_schedule = dynamic});
-          Stopwatch timer;
-          const MatchResult r = matcher.Run(fn, w.pairs, *env.ctx);
-          ms += timer.ElapsedMillis();
-          hit_rate = HitRate(r.stats);
-        }
-        ms /= static_cast<double>(opts.reps);
+        const std::vector<double> runs =
+            time_runs(matcher, w.pairs, &hit_rate);
+        std::vector<double> speedups;
+        for (const double ms : runs) speedups.push_back(serial.median / ms);
         Point p;
         p.workload = w.name;
         p.schedule = dynamic ? "dynamic" : "static";
         p.threads = threads;
-        p.ms = ms;
-        p.speedup_vs_serial = serial / ms;
+        p.ms = Timing::Of(runs);
+        p.speedup_vs_serial = Median(speedups);
         p.memo_hit_rate = hit_rate;
-        p.makespan = SimulateMakespan(w.cost, threads, dynamic);
+        p.makespan = SimulateMakespan(block_cost, threads, dynamic);
         points.push_back(p);
-        if (!dynamic) static_pt_ms = ms;
+        if (!dynamic) static_pt_ms = p.ms.median;
         // model-balance: makespan / (work / threads) — 1.00 is a
         // perfectly balanced schedule, higher is worse.
         const double balance =
             static_cast<double>(p.makespan) /
             (static_cast<double>(work) / static_cast<double>(threads));
-        std::printf("%8zu %9s %10.1f %10.2f %12s %9.1f%% %14.2f\n",
-                    threads, p.schedule.c_str(), ms, p.speedup_vs_serial,
-                    dynamic ? StrFormat("%.2fx", static_pt_ms / ms).c_str()
-                            : "-",
-                    100.0 * hit_rate, balance);
+        std::printf(
+            "%8zu %9s %10.1f %17s %10.2f %12s %9.1f%% %14.2f\n", threads,
+            p.schedule.c_str(), p.ms.median,
+            StrFormat("[%.1f, %.1f]", p.ms.q1, p.ms.q3).c_str(),
+            p.speedup_vs_serial,
+            dynamic ? StrFormat("%.2fx", static_pt_ms / p.ms.median).c_str()
+                    : "-",
+            100.0 * hit_rate, balance);
         if (w.name == "skewed" && threads == 8) {
-          (dynamic ? skewed_dynamic_8t : skewed_static_8t) = ms;
+          (dynamic ? skewed_dynamic_8t : skewed_static_8t) = p.ms.median;
           (dynamic ? skewed_dynamic_8t_model : skewed_static_8t_model) =
               p.makespan;
         }
@@ -410,7 +450,7 @@ void Run(const BenchOptions& opts) {
       skewed_dynamic_8t, skewed_static_8t, wallclock_improvement,
       model_improvement, use_model ? "model" : "wallclock");
 
-  WriteJson(opts, env, hw, serial_ms, points, improvement,
+  WriteJson(opts, env, hw, block, serial_ms, points, improvement,
             wallclock_improvement, model_improvement,
             use_model ? "makespan_model" : "wallclock",
             "BENCH_parallel.json");

@@ -26,9 +26,6 @@
 /// `--threads=N` (anywhere on the command line) runs full and
 /// incremental matching on the session's persistent work-stealing pool
 /// (0 = all hardware threads); results are identical to serial.
-/// `--block[=N]` switches to columnar batch evaluation (bare or =0 picks
-/// a cost-model-driven block size; N = pairs per block, rounded up to a
-/// multiple of 64) — same results, fewer orchestration stalls.
 ///
 /// Also scriptable: pipe commands via stdin.
 
@@ -88,11 +85,6 @@ int main(int argc, char** argv) {
     if (StartsWith(arg, "--threads=") &&
         ParseInt64(arg.substr(10), &n) && n >= 0) {
       options.num_threads = static_cast<size_t>(n);
-    } else if (arg == "--block") {
-      options.block_size = 0;  // bare flag = auto block size
-    } else if (StartsWith(arg, "--block=") &&
-               ParseInt64(arg.substr(8), &n) && n >= 0) {
-      options.block_size = static_cast<size_t>(n);
     } else {
       positional.push_back(argv[i]);
     }

@@ -420,35 +420,90 @@ MatchResult BlockMatcher::RunImpl(const MatchingFunction& fn,
                                   PairContext& ctx, MatchState* state,
                                   Memo* memo, const RunControl& control) {
   Stopwatch timer;
-  StopCheck stop(control);
   MatchResult result;
   result.matches = Bitmap(pairs.size());
   result.MarkComplete(pairs.size());
-
-  BlockEvaluator eval(fn, pairs, ctx, memo, state,
-                      ResolveBlockSize(options_, fn));
-  Result<MemoryReservation> scratch_bytes = MemoryReservation::Make(
-      options_.budget, eval.ScratchBytes(), "block.scratch");
-  if (!scratch_bytes.ok()) {
+  const auto refuse = [&](Status status) {
     result.evaluated = Bitmap(pairs.size());
     result.partial = true;
     result.pairs_completed = 0;
-    result.status = scratch_bytes.status();
+    result.status = std::move(status);
     return result;
-  }
-  BlockEvaluator::Scratch scratch;
-  eval.InitScratch(scratch);
+  };
 
-  for (size_t b = 0; b < eval.num_blocks(); ++b) {
-    // Cancellation at block granularity: a stopped run's evaluated
-    // prefix ends on a block boundary.
-    if (stop.ShouldStop()) {
-      result.MarkPartialPrefix(b * eval.block_size(), pairs.size(),
-                               stop.Reason());
-      break;
-    }
-    eval.EvalBlock(b, result.matches, result.stats, scratch);
+  ThreadPool* pool = options_.pool != nullptr &&
+                             options_.pool->num_workers() > 1
+                         ? options_.pool
+                         : nullptr;
+  const size_t workers = pool != nullptr ? pool->num_workers() : 1;
+  if (pool != nullptr && memo != nullptr && !memo->SafeForConcurrentRows()) {
+    return refuse(Status::InvalidArgument(
+        "memo is not safe for concurrent Store (HashMemo rehash moves "
+        "every bucket); use DenseMemo, wrap it in a ShardedMemo, or run "
+        "without a pool"));
   }
+  // Workers only read shared context state: build every column the
+  // features read before they start.
+  if (pool != nullptr) ctx.Prewarm(fn.UsedFeatures(), pool);
+
+  BlockEvaluator eval(fn, pairs, ctx, memo, state,
+                      ResolveBlockSize(options_, fn));
+  const size_t block = eval.block_size();
+  struct alignas(64) Worker {
+    MatchStats stats;
+    BlockEvaluator::Scratch scratch;
+  };
+  // Block scratch (feature columns + masks) dominates per-worker memory,
+  // so reserve the real figure for every worker before any starts.
+  Result<MemoryReservation> scratch_bytes = MemoryReservation::Make(
+      options_.budget, workers * (sizeof(Worker) + eval.ScratchBytes()),
+      "block.scratch");
+  if (!scratch_bytes.ok()) return refuse(scratch_bytes.status());
+  std::vector<Worker> worker_state(workers);
+  for (Worker& ws : worker_state) eval.InitScratch(ws.scratch);
+
+  if (pool == nullptr) {
+    // A block is hundreds of pairs: read the deadline clock at every one.
+    StopCheck stop(control, /*deadline_stride=*/1);
+    for (size_t b = 0; b < eval.num_blocks(); ++b) {
+      // A stopped run's evaluated prefix ends on a block boundary.
+      if (stop.ShouldStop()) {
+        result.MarkPartialPrefix(b * block, pairs.size(), stop.Reason());
+        break;
+      }
+      eval.EvalBlock(b, result.matches, worker_state[0].stats,
+                     worker_state[0].scratch);
+    }
+  } else {
+    // One item = one block. Blocks own disjoint 64-aligned pair ranges
+    // (disjoint bitmap words and memo rows), so the pool's chunk
+    // alignment drops to 1 and small block counts still spread across
+    // all workers.
+    const ThreadPool::ForResult run = pool->ParallelFor(
+        eval.num_blocks(), control,
+        [&](size_t w, size_t b) {
+          eval.EvalBlock(b, result.matches, worker_state[w].stats,
+                         worker_state[w].scratch);
+        },
+        ThreadPool::ForOptions{.steal = options_.dynamic_schedule,
+                               .align = 1});
+    if (run.stopped) {
+      // Block b covers pairs [b*B, min((b+1)*B, n)).
+      result.partial = true;
+      result.status = run.status;
+      result.evaluated = Bitmap(pairs.size());
+      result.pairs_completed = 0;
+      for (const auto& [begin, end] : run.completed) {
+        const size_t pair_begin = begin * block;
+        const size_t pair_end = std::min(end * block, pairs.size());
+        result.pairs_completed += pair_end - pair_begin;
+        for (size_t i = pair_begin; i < pair_end; ++i) {
+          result.evaluated.Set(i);
+        }
+      }
+    }
+  }
+  for (const Worker& ws : worker_state) result.stats += ws.stats;
   result.stats.elapsed_ms = timer.ElapsedMillis();
   return result;
 }

@@ -7,12 +7,13 @@
 #include "src/core/cost_model.h"
 #include "src/core/match_state.h"
 #include "src/core/matcher.h"
+#include "src/util/thread_pool.h"
 
 namespace emdbg {
 
 /// The columnar (batch-at-a-time) evaluation engine behind BlockMatcher,
-/// ParallelMemoMatcher's block mode, and the incremental engine's
-/// gathered-block re-evaluation.
+/// the production full-run engine (serial or over a pool, resident or
+/// sharded).
 ///
 /// PR 3 made the similarity kernels 13–46x faster, but end-to-end
 /// matching moved only 1.14–1.52x: Algorithm 4's per-pair loop now spends
@@ -50,8 +51,7 @@ namespace emdbg {
 /// Stats equivalence assumes the memo's contents do not change underneath
 /// the run (true for DenseMemo; an evicting ShardedMemo under budget
 /// pressure can shift hit counts — for such memos only the match bits are
-/// guaranteed, exactly as with the parallel matcher, whose hit counts
-/// already depend on eviction timing).
+/// guaranteed, since hit counts then depend on eviction timing).
 class BlockEvaluator {
  public:
   /// Worker-local buffers: one float column + presence/dirty masks per
@@ -137,15 +137,23 @@ class BlockEvaluator {
   std::vector<RuleSlot> rules_;
 };
 
-/// Serial columnar DM+EE (Algorithm 4 over blocks — see BlockEvaluator).
-/// Results are bit-identical to MemoMatcher with default options; the
-/// check-cache-first reordering (Sec. 5.4.3) is intentionally not offered
-/// in block mode, because bulk gathers already collapse the per-probe
-/// lookup cost δ that reordering exists to exploit.
+/// Columnar DM+EE (Algorithm 4 over blocks — see BlockEvaluator), the one
+/// production full-run engine. Results are bit-identical to MemoMatcher
+/// with default options; the check-cache-first reordering (Sec. 5.4.3)
+/// stays in MemoMatcher as the paper's Alg. 4 option, because bulk
+/// gathers already collapse the per-probe lookup cost δ that reordering
+/// exists to exploit.
 ///
-/// Cancellation is checked once per *block* (not per pair): a stopped run
-/// returns a partial result whose evaluated prefix ends on a block
-/// boundary.
+/// Blocks run in the caller's thread, or over a borrowed work-stealing
+/// pool: each 64-aligned block is one claimable item, so workers own
+/// disjoint memo rows and bitmap words and write them without locking.
+/// Match bits, decision bitmaps and MatchStats are the same for every
+/// worker count and schedule.
+///
+/// Cancellation is checked once per *block* (not per pair). A stopped
+/// serial run's evaluated prefix ends on a block boundary; a stopped
+/// pooled run's `evaluated` is exactly the union of the completed blocks
+/// (not necessarily a prefix).
 class BlockMatcher final : public Matcher {
  public:
   struct Options {
@@ -156,10 +164,19 @@ class BlockMatcher final : public Matcher {
     /// Optional measured cost model for the auto block size. Borrowed;
     /// may be null.
     const CostModel* cost_model = nullptr;
-    /// When set, the block scratch (feature columns + masks) is reserved
-    /// from this budget before evaluation; a denied reservation yields a
-    /// clean ResourceExhausted result with zero pairs evaluated.
+    /// When set, the block scratch (feature columns + masks, one set per
+    /// worker) is reserved from this budget before evaluation; a denied
+    /// reservation yields a clean ResourceExhausted result with zero
+    /// pairs evaluated.
     MemoryBudget* budget = nullptr;
+    /// Borrowed persistent pool (e.g. the DebugSession's); must outlive
+    /// the matcher's runs. Null or one worker = blocks run in the
+    /// caller's thread. With more workers the context is prewarmed
+    /// first, so workers only read shared text state.
+    ThreadPool* pool = nullptr;
+    /// When false, each worker drains only its static equal span of
+    /// blocks — the pre-work-stealing baseline bench_parallel measures.
+    bool dynamic_schedule = true;
   };
 
   BlockMatcher() : BlockMatcher(Options{}) {}
@@ -174,7 +191,11 @@ class BlockMatcher final : public Matcher {
                   PairContext& ctx, const RunControl& control) override;
 
   /// Runs against a caller-supplied memo whose prior contents are reused
-  /// and which receives every newly computed value (bulk scatter).
+  /// and which receives every newly computed value (bulk scatter). Over a
+  /// pool of more than one worker the memo must be safe for concurrent
+  /// distinct-row access (DenseMemo, ShardedMemo); a memo that is not
+  /// (HashMemo) yields an InvalidArgument result with zero pairs
+  /// evaluated instead of a data race.
   MatchResult RunWithMemo(const MatchingFunction& fn,
                           const CandidateSet& pairs, PairContext& ctx,
                           Memo& memo,

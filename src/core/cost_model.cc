@@ -233,21 +233,6 @@ std::vector<char> CostModel::RuleTruthOnSample(const Rule& r) const {
   return truth;
 }
 
-double CostModel::SampleMatchRate(const MatchingFunction& fn) const {
-  if (sample_.empty()) return 0.0;
-  std::vector<char> matched(sample_.size(), 0);
-  for (const Rule& r : fn.rules()) {
-    // An empty rule is true on every sample pair here, but the matchers
-    // skip it: it matches nothing.
-    if (r.empty()) continue;
-    const std::vector<char> truth = RuleTruthOnSample(r);
-    for (size_t s = 0; s < sample_.size(); ++s) matched[s] |= truth[s];
-  }
-  return static_cast<double>(
-             std::count(matched.begin(), matched.end(), char{1})) /
-         static_cast<double>(sample_.size());
-}
-
 double CostModel::FunctionCostNoMemo(const MatchingFunction& fn) const {
   if (sample_.empty()) return 0.0;
   // reach[s] = 1 while no earlier rule fired for sample pair s.

@@ -120,13 +120,6 @@ class CostModel {
   /// optimizers' exact reach computation.
   std::vector<char> RuleTruthOnSample(const Rule& r) const;
 
-  /// Fraction of sample pairs that some non-empty rule of `fn` matches,
-  /// from the recorded values alone (no feature is computed). When every
-  /// feature of `fn` is measured, it equals the match rate of running
-  /// `fn` over the sample: both test the same float values against the
-  /// same predicates. 0 for an empty sample.
-  double SampleMatchRate(const MatchingFunction& fn) const;
-
  private:
   explicit CostModel(CandidateSet sample) : sample_(std::move(sample)) {}
 

@@ -4,8 +4,6 @@
 #include <unordered_map>
 
 #include "src/core/block_matcher.h"
-#include "src/core/memo_matcher.h"
-#include "src/core/parallel_matcher.h"
 #include "src/core/sampler.h"
 #include "src/core/shard_driver.h"
 #include "src/util/csv.h"
@@ -199,11 +197,8 @@ DebugSession::DebugSession(std::shared_ptr<const Table> a,
 }
 
 IncrementalMatcher::Options DebugSession::IncOptions() {
-  return IncrementalMatcher::Options{
-      .check_cache_first = options_.check_cache_first,
-      .pool = pool_.get(),
-      .budget = options_.budget,
-      .block_size = options_.block_size};
+  return IncrementalMatcher::Options{.pool = pool_.get(),
+                                     .budget = options_.budget};
 }
 
 MatchResult DebugSession::BatchRun(const RunControl& control) {
@@ -217,31 +212,15 @@ MatchResult DebugSession::BatchRun(const RunControl& control) {
         .spill_dir = {},
         .budget = options_.budget,
         .pool = pool_.get(),
-        .block_size = options_.block_size,
         .cost_model = model_.get(),
         .keep_state = false});
     MatchResult result = driver.Run(fn_, *pairs_, *ctx_, control);
     if (!result.partial) batch_state_.matches() = result.matches;
     return result;
   }
-  if (pool_ != nullptr && pool_->num_workers() > 1) {
-    ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-        .check_cache_first = options_.check_cache_first,
-        .pool = pool_.get(),
-        .budget = options_.budget,
-        .block_size = options_.block_size,
-        .cost_model = model_.get()});
-    return matcher.RunWithState(fn_, *pairs_, *ctx_, batch_state_, control);
-  }
-  if (options_.block_size != 1) {
-    BlockMatcher matcher(BlockMatcher::Options{
-        .block_size = options_.block_size,
-        .cost_model = model_.get(),
-        .budget = options_.budget});
-    return matcher.RunWithState(fn_, *pairs_, *ctx_, batch_state_, control);
-  }
-  MemoMatcher matcher(
-      MemoMatcher::Options{.check_cache_first = options_.check_cache_first});
+  BlockMatcher matcher(BlockMatcher::Options{.cost_model = model_.get(),
+                                             .budget = options_.budget,
+                                             .pool = pool_.get()});
   return matcher.RunWithState(fn_, *pairs_, *ctx_, batch_state_, control);
 }
 

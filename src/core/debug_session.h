@@ -39,7 +39,6 @@ class DebugSession {
  public:
   struct Options {
     OrderingStrategy ordering = OrderingStrategy::kGreedyReduction;
-    bool check_cache_first = true;
     bool incremental = true;
     /// Sample fraction for cost/selectivity estimation (paper: 1%).
     double sample_fraction = 0.01;
@@ -59,14 +58,6 @@ class DebugSession {
     /// degrades a cache layer with bit-identical results; it never
     /// aborts. Must outlive the session.
     MemoryBudget* budget = nullptr;
-    /// Pairs per columnar block for full runs and incremental edits. 1
-    /// (the default) = classic per-pair evaluation; 0 = cost-model-auto
-    /// block size; >= 2 = explicit, rounded up to a multiple of 64 (see
-    /// src/core/block_matcher.h). Match and decision bitmaps are
-    /// identical in every mode; in block mode check_cache_first is
-    /// ignored (block semantics are the ccf-off ordering) and
-    /// cancellation lands on block boundaries.
-    size_t block_size = 1;
     /// Out-of-core full runs (non-incremental mode only): stream the
     /// candidates through the ShardedMatchDriver — shard-sized memo
     /// slices bounded by `budget` instead of one O(pairs × features)
@@ -147,7 +138,7 @@ class DebugSession {
   const Bitmap& Run();
 
   /// Controlled variant: honours `control`'s cancellation token and
-  /// deadline (checked once per candidate pair). When the run is stopped
+  /// deadline (checked once per block of pairs). When the run is stopped
   /// early the returned result is partial — `result.partial` is true,
   /// `result.status` says why (kCancelled / kDeadlineExceeded), and only
   /// the bits flagged in `result.evaluated` are meaningful. A partial
@@ -255,13 +246,13 @@ class DebugSession {
   /// freshly added rule's predicates (Lemma 3).
   void PrepareRule(Rule& rule);
 
-  /// Options for constructing the incremental engine (check-cache-first
-  /// plus the session's pool).
+  /// Options for constructing the incremental engine (the session's pool
+  /// and budget).
   IncrementalMatcher::Options IncOptions();
 
-  /// Non-incremental full run of `fn_` into batch_state_ — parallel when
-  /// the session has a pool, serial MemoMatcher otherwise (identical
-  /// results either way).
+  /// Non-incremental full run of `fn_` into batch_state_: the sharded
+  /// driver when Options::sharded, one BlockMatcher otherwise (over the
+  /// session's pool when it has one; identical results either way).
   MatchResult BatchRun(const RunControl& control);
 
   /// Immutable corpus, possibly shared with other sessions (see the

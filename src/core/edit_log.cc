@@ -1,5 +1,6 @@
 #include "src/core/edit_log.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -82,16 +83,34 @@ Status EditJournal::Append(std::string_view payload) {
   if (FaultFire("journal.write")) {
     return Status::IoError("journal append failed (injected)");
   }
+  // Every earlier append was flushed, so the file's size is where this
+  // record starts.
+  const int fd = ::fileno(file_);
+  struct stat before;
+  if (::fstat(fd, &before) != 0) {
+    return Status::IoError(
+        StrFormat("journal stat failed: %s", std::strerror(errno)));
+  }
   if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
       std::fflush(file_) != 0) {
     return Status::IoError("journal append failed");
   }
-  // The edit must be on disk before we report it committed. An injected
-  // failure here models the nasty half: the record is in the file but the
-  // edit was never acknowledged — recovery may legitimately replay it.
-  if (FaultFire("journal.fsync") || ::fsync(::fileno(file_)) != 0) {
-    return Status::IoError(
-        StrFormat("journal fsync failed: %s", std::strerror(errno)));
+  // The edit must be on disk before we report it committed. When the
+  // fsync fails (an injected journal.fsync fault fires after the record
+  // reached the file), the record is cut off again, so the unacknowledged
+  // edit is not replayed by recovery and a client that retries it applies
+  // it once. Only when that rollback fails too is the edit in doubt.
+  if (FaultFire("journal.fsync") || ::fsync(fd) != 0) {
+    const std::string cause = std::strerror(errno);
+    if (::ftruncate(fd, before.st_size) != 0 || ::fsync(fd) != 0) {
+      return Status::IoError(StrFormat(
+          "journal fsync failed: %s; rolling the record back failed too "
+          "(%s), so recovery may replay this unacknowledged edit",
+          cause.c_str(), std::strerror(errno)));
+    }
+    return Status::IoError(StrFormat(
+        "journal fsync failed: %s; the record was rolled back",
+        cause.c_str()));
   }
   return Status::Ok();
 }

@@ -46,7 +46,10 @@ class EditJournal {
   EditJournal& operator=(const EditJournal&) = delete;
 
   /// Appends one record (payload must be a single line without '\n') and
-  /// fsyncs. The edit is durable once this returns Ok.
+  /// fsyncs. The edit is durable once this returns Ok. When the fsync
+  /// fails, the file is truncated back to its size before the append (and
+  /// synced), so an IoError means the edit did not commit; only if that
+  /// rollback fails too does the error text say the edit is in doubt.
   Status Append(std::string_view payload);
 
   struct Contents {

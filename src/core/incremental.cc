@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "src/core/block_matcher.h"
-#include "src/core/memo_matcher.h"
-#include "src/core/parallel_matcher.h"
 #include "src/util/bitmap.h"
 #include "src/util/stopwatch.h"
 #include "src/util/string_util.h"
@@ -14,9 +12,9 @@ namespace emdbg {
 
 namespace {
 
-/// Gathered edits below one bitmap word of lanes run per-pair: the
-/// columnar setup (lane gather, mask buffers) does not pay there.
-constexpr size_t kMinGatheredLanes = 64;
+/// Missing lanes below which a pooled feature computation is not worth
+/// waking the workers: one 64-lane word cannot be split.
+constexpr size_t kMinPooledLanes = 128;
 
 /// Calls fn(i) for every set lane of a gathered mask over [0, n).
 template <typename Fn>
@@ -50,23 +48,10 @@ MatchStats IncrementalMatcher::FullRun(const MatchingFunction& fn) {
 MatchResult IncrementalMatcher::FullRun(const MatchingFunction& fn,
                                         const RunControl& control) {
   fn_ = fn;
-  MatchResult result;
-  if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
-    ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-        .check_cache_first = options_.check_cache_first,
-        .pool = options_.pool,
-        .budget = options_.budget,
-        .block_size = options_.block_size});
-    result = matcher.RunWithState(fn_, pairs_, ctx_, state_, control);
-  } else if (options_.block_size != 1) {
-    BlockMatcher matcher(BlockMatcher::Options{
-        .block_size = options_.block_size, .budget = options_.budget});
-    result = matcher.RunWithState(fn_, pairs_, ctx_, state_, control);
-  } else {
-    MemoMatcher matcher(MemoMatcher::Options{
-        .check_cache_first = options_.check_cache_first});
-    result = matcher.RunWithState(fn_, pairs_, ctx_, state_, control);
-  }
+  BlockMatcher matcher(BlockMatcher::Options{.budget = options_.budget,
+                                             .pool = options_.pool});
+  MatchResult result =
+      matcher.RunWithState(fn_, pairs_, ctx_, state_, control);
   has_run_ = !result.partial;
   return result;
 }
@@ -92,124 +77,74 @@ Status IncrementalMatcher::SyncMemoWidth() {
   return state_.EnsureCapacity(state_.num_pairs(), ctx_.catalog().size());
 }
 
-void IncrementalMatcher::EnsureDecisionBitmaps() {
-  for (const Rule& r : fn_.rules()) {
-    (void)state_.RuleTrue(r.id());
-    for (const Predicate& p : r.predicates()) {
-      (void)state_.PredFalse(p.id);
+void IncrementalMatcher::CollectLanes(const Bitmap& bm,
+                                      bool unmatched_only,
+                                      std::vector<uint32_t>& idx) const {
+  idx.clear();
+  const std::vector<uint64_t>& words = bm.words();
+  const std::vector<uint64_t>& matched = state_.matches().words();
+  for (size_t w = 0; w < words.size(); ++w) {
+    uint64_t m = unmatched_only ? words[w] & ~matched[w] : words[w];
+    while (m != 0) {
+      idx.push_back(
+          static_cast<uint32_t>(w * 64 + std::countr_zero(m)));
+      m &= m - 1;
     }
   }
 }
 
-MatchStats IncrementalMatcher::ForEachPair(
-    const std::function<void(size_t i, MatchStats& stats,
-                             PredicateOrderScratch& scratch)>& body) {
-  ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->num_workers() <= 1 ||
-      pairs_.size() < options_.min_parallel_pairs) {
-    MatchStats stats;
-    PredicateOrderScratch scratch;
-    for (size_t i = 0; i < pairs_.size(); ++i) body(i, stats, scratch);
-    return stats;
-  }
-  // Parallel prerequisites: shared context read-only, decision bitmaps
-  // pre-materialized (no map rehash under concurrent access). Bodies
-  // touch only pair-i state and chunks are 64-aligned, so no two
-  // workers ever share a bitmap word (ThreadPool's alignment contract).
-  ctx_.Prewarm(fn_.UsedFeatures(), pool);
-  EnsureDecisionBitmaps();
-  struct alignas(64) WorkerState {
-    MatchStats stats;
-    PredicateOrderScratch scratch;
-  };
-  std::vector<WorkerState> ws(pool->num_workers());
-  pool->ParallelFor(pairs_.size(), [&](size_t w, size_t i) {
-    body(i, ws[w].stats, ws[w].scratch);
-  });
-  MatchStats total;
-  for (const WorkerState& w : ws) total += w.stats;
-  return total;
-}
-
-double IncrementalMatcher::AcquireFeature(FeatureId f, size_t i,
-                                          MatchStats& stats) {
-  double value = 0.0;
-  if (state_.memo().Lookup(i, f, &value)) {
-    ++stats.memo_hits;
-    return value;
-  }
-  value = ctx_.ComputeFeature(f, pairs_.pair(i));
-  state_.memo().Store(i, f, value);
-  ++stats.feature_computations;
-  return value;
-}
-
-bool IncrementalMatcher::EvalRule(const Rule& r, size_t i,
-                                  MatchStats& stats,
-                                  PredicateOrderScratch& scratch) {
-  // Check-cache-first partition (Sec. 5.4.3), as in MemoMatcher.
-  const uint32_t* order =
-      scratch.Build(r, state_.memo(), i, options_.check_cache_first);
-  for (size_t k = 0; k < r.size(); ++k) {
-    const Predicate& p = r.predicate(order[k]);
-    ++stats.predicate_evaluations;
-    const double value = AcquireFeature(p.feature, i, stats);
-    if (!p.Test(value)) {
-      state_.PredFalse(p.id).Set(i);
-      return false;
-    }
-    // Keep I3 tight: a bit set for a predicate that now passes is stale.
-    state_.PredFalse(p.id).Clear(i);
-  }
-  return true;
-}
-
-bool IncrementalMatcher::RuleKnownFalse(const Rule& r, size_t i) const {
-  for (const Predicate& p : r.predicates()) {
-    const Bitmap* bm = state_.FindPredFalse(p.id);
-    if (bm != nullptr && bm->Get(i)) return true;
-  }
-  return false;
-}
-
-void IncrementalMatcher::RematchPair(size_t i, size_t from,
-                                     MatchStats& stats,
-                                     PredicateOrderScratch& scratch) {
-  for (size_t pos = from; pos < fn_.num_rules(); ++pos) {
-    const Rule& rule = fn_.rule(pos);
-    if (rule.empty()) continue;
-    if (RuleKnownFalse(rule, i)) continue;
-    ++stats.rule_evaluations;
-    if (EvalRule(rule, i, stats, scratch)) {
-      state_.matches().Set(i);
-      state_.RuleTrue(rule.id()).Set(i);
-      return;
-    }
-  }
+void IncrementalMatcher::GatherLanes(const std::vector<uint32_t>& idx) {
+  const size_t n = idx.size();
+  gathered_.resize(n);
+  for (size_t i = 0; i < n; ++i) gathered_[i] = pairs_.pair(idx[i]);
+  col_.resize(n);
+  active_.resize(bitspan::Words(n));
+  need_.resize(bitspan::Words(n));
+  bitspan::Fill(active_.data(), n, true);
 }
 
 void IncrementalMatcher::AcquireFeatureGathered(
-    FeatureId f, const std::vector<uint32_t>& idx,
-    const std::vector<PairId>& gathered, const uint64_t* lanes, float* col,
-    MatchStats& stats) {
+    FeatureId f, const std::vector<uint32_t>& idx, MatchStats& stats) {
   const size_t n = idx.size();
   const size_t words = bitspan::Words(n);
-  std::vector<uint64_t> need(words, 0);
-  ForEachLane(lanes, n, [&](size_t i) {
+  std::fill(need_.begin(), need_.begin() + words, 0);
+  const DenseMemo& memo = state_.memo();
+  size_t missing = 0;
+  ForEachLane(active_.data(), n, [&](size_t i) {
     double v = 0.0;
-    if (state_.memo().Lookup(idx[i], f, &v)) {
-      col[i] = static_cast<float>(v);
+    if (memo.Lookup(idx[i], f, &v)) {
+      col_[i] = static_cast<float>(v);
       ++stats.memo_hits;
     } else {
-      need[i >> 6] |= uint64_t{1} << (i & 63);
+      need_[i >> 6] |= uint64_t{1} << (i & 63);
+      ++missing;
     }
   });
-  if (!bitspan::Any(need.data(), n)) return;
-  ctx_.ComputeFeatureBlock(f, gathered.data(), n, need.data(), col);
-  ForEachLane(need.data(), n, [&](size_t i) {
-    state_.memo().Store(idx[i], f, static_cast<double>(col[i]));
-    ++stats.feature_computations;
+  if (missing == 0) return;
+  ThreadPool* pool = options_.pool;
+  if (pool != nullptr && pool->num_workers() > 1 &&
+      missing >= kMinPooledLanes) {
+    // Workers only read the feature's shared columns: build them first.
+    ctx_.Prewarm({f}, pool);
+    pool->ParallelFor(
+        words,
+        [&](size_t, size_t w) {
+          if (need_[w] == 0) return;
+          const size_t base = w * 64;
+          ctx_.ComputeFeatureBlock(f, gathered_.data() + base,
+                                   std::min<size_t>(64, n - base),
+                                   need_.data() + w, col_.data() + base);
+        },
+        ThreadPool::ForOptions{.align = 1});
+  } else {
+    ctx_.ComputeFeatureBlock(f, gathered_.data(), n, need_.data(),
+                             col_.data());
+  }
+  DenseMemo& store = state_.memo();
+  ForEachLane(need_.data(), n, [&](size_t i) {
+    store.Store(idx[i], f, static_cast<double>(col_[i]));
   });
+  stats.feature_computations += missing;
 }
 
 void IncrementalMatcher::EvalRuleGathered(const Rule& r,
@@ -217,25 +152,19 @@ void IncrementalMatcher::EvalRuleGathered(const Rule& r,
                                           MatchStats& stats) {
   const size_t n = idx.size();
   if (n == 0) return;
-  const size_t words = bitspan::Words(n);
-  std::vector<PairId> gathered(n);
-  for (size_t i = 0; i < n; ++i) gathered[i] = pairs_.pair(idx[i]);
-  std::vector<float> col(n);
-  std::vector<uint64_t> active(words);
-  bitspan::Fill(active.data(), n, true);
-
+  GatherLanes(idx);
+  uint64_t* active = active_.data();
   for (const Predicate& p : r.predicates()) {
-    const size_t entering = bitspan::Count(active.data(), n);
+    const size_t entering = bitspan::Count(active, n);
     if (entering == 0) break;
     stats.predicate_evaluations += entering;
-    AcquireFeatureGathered(p.feature, idx, gathered, active.data(),
-                           col.data(), stats);
+    AcquireFeatureGathered(p.feature, idx, stats);
     Bitmap& pf = state_.PredFalse(p.id);
     // ForEachLane snapshots each word before walking it, so clearing a
     // failing lane from `active` mid-walk is safe.
-    ForEachLane(active.data(), n, [&](size_t i) {
-      if (p.Test(static_cast<double>(col[i]))) {
-        pf.Clear(idx[i]);  // keep I3 tight, as EvalRule does
+    ForEachLane(active, n, [&](size_t i) {
+      if (p.Test(static_cast<double>(col_[i]))) {
+        pf.Clear(idx[i]);  // keep I3 tight: the predicate passes now
       } else {
         pf.Set(idx[i]);
         active[i >> 6] &= ~(uint64_t{1} << (i & 63));
@@ -243,81 +172,104 @@ void IncrementalMatcher::EvalRuleGathered(const Rule& r,
     });
   }
 
-  // Surviving lanes passed every predicate: record them, keep the rest.
-  std::vector<uint32_t> still_false;
-  still_false.reserve(n);
+  // Surviving lanes passed every predicate: record them; compact the
+  // false lanes to the front of `idx`.
   Bitmap& rule_true = state_.RuleTrue(r.id());
+  size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
     if ((active[i >> 6] >> (i & 63)) & 1) {
       state_.matches().Set(idx[i]);
       rule_true.Set(idx[i]);
     } else {
-      still_false.push_back(idx[i]);
+      idx[kept++] = idx[i];
     }
   }
-  idx = std::move(still_false);
+  idx.resize(kept);
 }
 
 void IncrementalMatcher::RematchGathered(std::vector<uint32_t>& idx,
                                          size_t skip_pos,
                                          MatchStats& stats) {
-  std::vector<uint32_t> deferred;
   for (size_t pos = 0; pos < fn_.num_rules() && !idx.empty(); ++pos) {
     if (pos == skip_pos) continue;
     const Rule& rule = fn_.rule(pos);
     if (rule.empty()) continue;
-    // Known-false shortcut (I3), partitioned per lane: short-circuited
-    // lanes skip this rule but continue to the next one.
-    std::vector<uint32_t> eligible;
-    eligible.reserve(idx.size());
-    deferred.clear();
-    for (const uint32_t i : idx) {
-      if (RuleKnownFalse(rule, i)) {
-        deferred.push_back(i);
-      } else {
-        eligible.push_back(i);
+    // Known-false shortcut (I3), looked up once per rule and applied per
+    // lane: short-circuited lanes skip this rule but continue to the next.
+    known_false_.clear();
+    for (const Predicate& p : rule.predicates()) {
+      if (const Bitmap* bm = state_.FindPredFalse(p.id); bm != nullptr) {
+        known_false_.push_back(bm);
       }
     }
-    stats.rule_evaluations += eligible.size();
-    EvalRuleGathered(rule, eligible, stats);
-    idx = std::move(eligible);  // lanes where the rule came out false
-    idx.insert(idx.end(), deferred.begin(), deferred.end());
+    eligible_.clear();
+    deferred_.clear();
+    for (const uint32_t i : idx) {
+      bool known = false;
+      for (const Bitmap* bm : known_false_) {
+        if (bm->Get(i)) {
+          known = true;
+          break;
+        }
+      }
+      (known ? deferred_ : eligible_).push_back(i);
+    }
+    stats.rule_evaluations += eligible_.size();
+    EvalRuleGathered(rule, eligible_, stats);
+    idx.swap(eligible_);  // lanes where the rule came out false
+    idx.insert(idx.end(), deferred_.begin(), deferred_.end());
   }
 }
 
-MatchStats IncrementalMatcher::RecheckMatchedGathered(RuleId rid,
-                                                      const Predicate& p) {
+MatchStats IncrementalMatcher::RecheckMatchedPairs(RuleId rid,
+                                                   const Predicate& p) {
   MatchStats stats;
-  const Bitmap& affected = state_.RuleTrue(rid);
-  const size_t rule_pos = fn_.FindRule(rid);
-  std::vector<uint32_t> idx;
-  for (size_t i = 0; i < pairs_.size(); ++i) {
-    if (affected.Get(i)) idx.push_back(static_cast<uint32_t>(i));
-  }
-  const size_t n = idx.size();
+  CollectLanes(state_.RuleTrue(rid), false, lanes_);
+  const size_t n = lanes_.size();
   if (n == 0) return stats;
   stats.predicate_evaluations += n;
-  std::vector<PairId> gathered(n);
-  for (size_t i = 0; i < n; ++i) gathered[i] = pairs_.pair(idx[i]);
-  std::vector<float> col(n);
-  std::vector<uint64_t> all(bitspan::Words(n));
-  bitspan::Fill(all.data(), n, true);
-  AcquireFeatureGathered(p.feature, idx, gathered, all.data(), col.data(),
-                         stats);
+  GatherLanes(lanes_);
+  AcquireFeatureGathered(p.feature, lanes_, stats);
 
-  std::vector<uint32_t> failing;
+  // Lanes the predicate now rejects leave the rule's matches; compact
+  // them to the front of lanes_ for re-matching.
   Bitmap& pf = state_.PredFalse(p.id);
+  Bitmap& rule_true = state_.RuleTrue(rid);
+  size_t failing = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (p.Test(static_cast<double>(col[i]))) {
-      pf.Clear(idx[i]);  // still matched by this rule
+    const uint32_t pair = lanes_[i];
+    if (p.Test(static_cast<double>(col_[i]))) {
+      pf.Clear(pair);  // still matched by this rule
     } else {
-      pf.Set(idx[i]);
-      state_.RuleTrue(rid).Clear(idx[i]);
-      state_.matches().Clear(idx[i]);
-      failing.push_back(idx[i]);
+      pf.Set(pair);
+      rule_true.Clear(pair);
+      state_.matches().Clear(pair);
+      lanes_[failing++] = pair;
     }
   }
-  RematchGathered(failing, rule_pos, stats);
+  lanes_.resize(failing);
+  // Algorithm 7 re-checks the rules after r; we additionally skip r
+  // itself and use the known-false shortcut for the earlier rules, which
+  // keeps this correct even after earlier relax edits cleared some of
+  // their bitmap bits.
+  RematchGathered(lanes_, fn_.FindRule(rid), stats);
+  return stats;
+}
+
+MatchStats IncrementalMatcher::RecheckUnmatchedPairs(
+    RuleId rid, const Bitmap& candidates) {
+  MatchStats stats;
+  CollectLanes(candidates, true, lanes_);
+  stats.rule_evaluations += lanes_.size();
+  EvalRuleGathered(*fn_.RuleById(rid), lanes_, stats);
+  return stats;
+}
+
+MatchStats IncrementalMatcher::RematchAffected(const Bitmap& affected) {
+  MatchStats stats;
+  CollectLanes(affected, false, lanes_);
+  for (const uint32_t i : lanes_) state_.matches().Clear(i);
+  RematchGathered(lanes_, fn_.num_rules(), stats);
   return stats;
 }
 
@@ -330,32 +282,9 @@ Result<MatchStats> IncrementalMatcher::AddRule(const Rule& rule) {
   MatchStats stats;
   const RuleId rid = fn_.AddRule(rule);
   last_added_rule_ = rid;
-  const Rule& r = *fn_.RuleById(rid);
-  if (!r.empty()) {
+  if (!fn_.RuleById(rid)->empty()) {
     // Algorithm 10: only unmatched pairs can be affected.
-    bool gathered_done = false;
-    if (options_.block_size != 1) {
-      std::vector<uint32_t> idx;
-      for (size_t i = 0; i < pairs_.size(); ++i) {
-        if (!state_.matches().Get(i)) idx.push_back(static_cast<uint32_t>(i));
-      }
-      if (idx.size() >= kMinGatheredLanes) {
-        stats.rule_evaluations += idx.size();
-        EvalRuleGathered(r, idx, stats);
-        gathered_done = true;
-      }
-    }
-    if (!gathered_done) {
-      stats = ForEachPair([&](size_t i, MatchStats& s,
-                              PredicateOrderScratch& scratch) {
-        if (state_.matches().Get(i)) return;
-        ++s.rule_evaluations;
-        if (EvalRule(r, i, s, scratch)) {
-          state_.matches().Set(i);
-          state_.RuleTrue(rid).Set(i);
-        }
-      });
-    }
+    stats = RecheckUnmatchedPairs(rid, Bitmap(pairs_.size(), true));
   }
   stats.elapsed_ms = timer.ElapsedMillis();
   return stats;
@@ -383,99 +312,9 @@ Result<MatchStats> IncrementalMatcher::RemoveRule(RuleId rid) {
   EMDBG_RETURN_IF_ERROR(fn_.RemoveRule(rid));
   // Algorithm 9: re-check the affected pairs against the remaining rules.
   MatchStats stats;
-  if (!affected.empty()) {
-    bool gathered_done = false;
-    if (options_.block_size != 1) {
-      std::vector<uint32_t> idx;
-      for (size_t i = 0; i < pairs_.size(); ++i) {
-        if (affected.Get(i)) idx.push_back(static_cast<uint32_t>(i));
-      }
-      if (idx.size() >= kMinGatheredLanes) {
-        for (const uint32_t i : idx) state_.matches().Clear(i);
-        RematchGathered(idx, fn_.num_rules(), stats);
-        gathered_done = true;
-      }
-    }
-    if (!gathered_done) {
-      stats = ForEachPair([&](size_t i, MatchStats& s,
-                              PredicateOrderScratch& scratch) {
-        if (!affected.Get(i)) return;
-        state_.matches().Clear(i);
-        RematchPair(i, 0, s, scratch);
-      });
-    }
-  }
+  if (!affected.empty()) stats = RematchAffected(affected);
   stats.elapsed_ms = timer.ElapsedMillis();
   return stats;
-}
-
-MatchStats IncrementalMatcher::RecheckMatchedPairs(RuleId rid,
-                                                   const Predicate& p) {
-  if (options_.block_size != 1 &&
-      state_.RuleTrue(rid).Count() >= kMinGatheredLanes) {
-    return RecheckMatchedGathered(rid, p);
-  }
-  // Snapshot: the loop clears RuleTrue(rid) bits as it goes.
-  const Bitmap affected = state_.RuleTrue(rid);
-  const size_t rule_pos = fn_.FindRule(rid);
-  return ForEachPair([&, this](size_t i, MatchStats& s,
-                               PredicateOrderScratch& scratch) {
-    if (!affected.Get(i)) return;
-    ++s.predicate_evaluations;
-    const double value = AcquireFeature(p.feature, i, s);
-    if (p.Test(value)) {
-      state_.PredFalse(p.id).Clear(i);
-      return;  // still matched by this rule
-    }
-    state_.PredFalse(p.id).Set(i);
-    state_.RuleTrue(rid).Clear(i);
-    state_.matches().Clear(i);
-    // Algorithm 7 re-checks the rules after r; we additionally skip r
-    // itself and use the known-false shortcut for the earlier rules,
-    // which keeps this correct even after earlier relax edits cleared
-    // some of their bitmap bits.
-    for (size_t pos = 0; pos < fn_.num_rules(); ++pos) {
-      if (pos == rule_pos) continue;
-      const Rule& other = fn_.rule(pos);
-      if (other.empty()) continue;
-      if (RuleKnownFalse(other, i)) continue;
-      ++s.rule_evaluations;
-      if (EvalRule(other, i, s, scratch)) {
-        state_.matches().Set(i);
-        state_.RuleTrue(other.id()).Set(i);
-        break;
-      }
-    }
-  });
-}
-
-MatchStats IncrementalMatcher::RecheckUnmatchedPairs(
-    RuleId rid, const Bitmap& candidates) {
-  const Rule& rule = *fn_.RuleById(rid);
-  if (options_.block_size != 1) {
-    std::vector<uint32_t> idx;
-    for (size_t i = 0; i < pairs_.size(); ++i) {
-      if (candidates.Get(i) && !state_.matches().Get(i)) {
-        idx.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    if (idx.size() >= kMinGatheredLanes) {
-      MatchStats stats;
-      stats.rule_evaluations += idx.size();
-      EvalRuleGathered(rule, idx, stats);
-      return stats;
-    }
-  }
-  return ForEachPair([&, this](size_t i, MatchStats& s,
-                               PredicateOrderScratch& scratch) {
-    if (!candidates.Get(i)) return;
-    if (state_.matches().Get(i)) return;
-    ++s.rule_evaluations;
-    if (EvalRule(rule, i, s, scratch)) {
-      state_.matches().Set(i);
-      state_.RuleTrue(rid).Set(i);
-    }
-  });
 }
 
 Result<MatchStats> IncrementalMatcher::AddPredicate(RuleId rid,
@@ -497,30 +336,7 @@ Result<MatchStats> IncrementalMatcher::AddPredicate(RuleId rid,
   if (was_empty) {
     // Empty rules are false everywhere, so this transition can only add
     // matches: evaluate like a newly added rule (Algorithm 10).
-    const Rule& r = *fn_.RuleById(rid);
-    bool gathered_done = false;
-    if (options_.block_size != 1) {
-      std::vector<uint32_t> idx;
-      for (size_t i = 0; i < pairs_.size(); ++i) {
-        if (!state_.matches().Get(i)) idx.push_back(static_cast<uint32_t>(i));
-      }
-      if (idx.size() >= kMinGatheredLanes) {
-        stats.rule_evaluations += idx.size();
-        EvalRuleGathered(r, idx, stats);
-        gathered_done = true;
-      }
-    }
-    if (!gathered_done) {
-      stats = ForEachPair([&](size_t i, MatchStats& s,
-                              PredicateOrderScratch& scratch) {
-        if (state_.matches().Get(i)) return;
-        ++s.rule_evaluations;
-        if (EvalRule(r, i, s, scratch)) {
-          state_.matches().Set(i);
-          state_.RuleTrue(rid).Set(i);
-        }
-      });
-    }
+    stats = RecheckUnmatchedPairs(rid, Bitmap(pairs_.size(), true));
   } else {
     // Algorithm 7: adding a predicate can only shrink the rule's matches.
     Predicate added = p;
@@ -551,32 +367,12 @@ Result<MatchStats> IncrementalMatcher::RemovePredicate(RuleId rid,
   state_.ErasePredicate(pid);
 
   MatchStats stats;
-  const Rule* updated = fn_.RuleById(rid);
-  if (updated->empty()) {
+  if (fn_.RuleById(rid)->empty()) {
     // The rule degenerated to empty = false everywhere: un-match the
     // pairs it was responsible for and re-match them elsewhere.
     const Bitmap affected = state_.RuleTrue(rid);
     state_.RuleTrue(rid).Fill(false);
-    bool gathered_done = false;
-    if (options_.block_size != 1) {
-      std::vector<uint32_t> idx;
-      for (size_t i = 0; i < pairs_.size(); ++i) {
-        if (affected.Get(i)) idx.push_back(static_cast<uint32_t>(i));
-      }
-      if (idx.size() >= kMinGatheredLanes) {
-        for (const uint32_t i : idx) state_.matches().Clear(i);
-        RematchGathered(idx, fn_.num_rules(), stats);
-        gathered_done = true;
-      }
-    }
-    if (!gathered_done) {
-      stats = ForEachPair([&](size_t i, MatchStats& s,
-                              PredicateOrderScratch& scratch) {
-        if (!affected.Get(i)) return;
-        state_.matches().Clear(i);
-        RematchPair(i, 0, s, scratch);
-      });
-    }
+    stats = RematchAffected(affected);
   } else {
     // Algorithm 8: only unmatched pairs that the predicate rejected can
     // become matches.

@@ -1,14 +1,13 @@
 #ifndef EMDBG_CORE_INCREMENTAL_H_
 #define EMDBG_CORE_INCREMENTAL_H_
 
-#include <functional>
+#include <vector>
 
 #include "src/block/candidate_pairs.h"
 #include "src/core/match_result.h"
 #include "src/core/match_state.h"
 #include "src/core/matching_function.h"
 #include "src/core/pair_context.h"
-#include "src/core/predicate_order.h"
 #include "src/util/cancellation.h"
 #include "src/util/thread_pool.h"
 
@@ -39,42 +38,30 @@ namespace emdbg {
 /// Empty rules are treated as false everywhere (matchers skip them); the
 /// empty→non-empty and non-empty→empty transitions are handled as special
 /// cases of add/remove predicate.
+///
+/// Every edit evaluates its affected pairs as *gathered lanes*: their
+/// indices are collected into a dense lane list, each feature is acquired
+/// across all lanes at once (memo probes, then one ComputeFeatureBlock
+/// over the misses), and rules combine by mask algebra. The predicates
+/// run in their written order, so bitmaps and MatchStats equal a per-pair
+/// replay of Algs. 7–10 with MemoMatcher's default (check-cache-first
+/// off) semantics. Full runs use BlockMatcher.
 class IncrementalMatcher {
  public:
   struct Options {
-    /// Use the Sec. 5.4.3 check-cache-first predicate order during
-    /// evaluations.
-    bool check_cache_first = true;
     /// Borrowed persistent work-stealing pool (must outlive the
-    /// matcher). When set, full runs AND the affected-pair re-matching
-    /// of every edit fan out across its workers — the paper's headline
-    /// interactive operation was fully serial before. Each pair's
-    /// re-evaluation touches only its own memo row and bitmap bit, and
-    /// chunks are 64-aligned (see ThreadPool), so the result — matches,
-    /// decision bitmaps, even the MatchStats counters — is identical to
-    /// the serial path for every thread count. Null = serial.
+    /// matcher). When set, full runs spread their blocks over its
+    /// workers, and each edit computes its missing feature lanes over
+    /// them in 64-lane words; memo stores and mask algebra stay serial.
+    /// Matches, decision bitmaps and MatchStats are identical to the
+    /// serial path for every worker count. Null = serial.
     ThreadPool* pool = nullptr;
-    /// Edits touching fewer pairs than this run serially even with a
-    /// pool (fan-out overhead would dominate sub-millisecond edits).
-    size_t min_parallel_pairs = 1024;
     /// Memory accountant for the materialized state's memo matrix and
-    /// the parallel matcher's per-worker scratch (null = unbudgeted).
+    /// the full-run engine's per-worker scratch (null = unbudgeted).
     /// A denied reservation surfaces as ResourceExhausted from the full
     /// run or edit, with the prior state untouched. Must outlive the
     /// matcher.
     MemoryBudget* budget = nullptr;
-    /// Pairs per columnar block. 1 (the default) = classic per-pair
-    /// evaluation everywhere. Any other value (0 = auto-size) switches
-    /// full runs to the BlockEvaluator (see src/core/block_matcher.h)
-    /// and edits to *gathered-block* re-evaluation: the affected pair
-    /// indices are gathered into a dense lane list and each feature is
-    /// evaluated across all lanes at once (ComputeFeatureBlock), with
-    /// rule/predicate combination by mask algebra. Edits touching fewer
-    /// than one bitmap word of lanes stay per-pair (columnar setup does
-    /// not pay below 64 lanes). Block mode uses the as-written predicate
-    /// order — check_cache_first is ignored — so its bitmaps and stats
-    /// equal the per-pair path with check_cache_first=false.
-    size_t block_size = 1;
   };
 
   /// `ctx` and `pairs` must outlive the matcher.
@@ -88,7 +75,7 @@ class IncrementalMatcher {
   /// are rebuilt.
   MatchStats FullRun(const MatchingFunction& fn);
 
-  /// Controlled full run: checks `control` once per pair. If the run is
+  /// Controlled full run: checks `control` once per block. If the run is
   /// stopped early the result is partial (see match_result.h) and
   /// has_run() becomes false — the memo keeps everything computed so far
   /// (a later run resumes cheaply), but the decision bitmaps are
@@ -143,85 +130,56 @@ class IncrementalMatcher {
   }
 
  private:
-  /// Memoized feature acquisition for candidate pair index `i`.
-  double AcquireFeature(FeatureId f, size_t i, MatchStats& stats);
-
-  /// Evaluates rule `r` for pair `i` with memoing; records the first
-  /// false predicate in PredFalse. Does not touch RuleTrue/matches.
-  /// `scratch` is the caller's (per-worker) predicate-order buffer.
-  bool EvalRule(const Rule& r, size_t i, MatchStats& stats,
-                PredicateOrderScratch& scratch);
-
-  /// True if some predicate of `r` has its false-bit set for pair `i`
-  /// (sound "rule is false" shortcut under I3).
-  bool RuleKnownFalse(const Rule& r, size_t i) const;
-
-  /// Re-evaluates pair `i` against rules at positions [from, end) in the
-  /// current order; on the first true rule marks the pair matched and
-  /// sets the responsible-rule bit. Uses the known-false shortcut.
-  void RematchPair(size_t i, size_t from, MatchStats& stats,
-                   PredicateOrderScratch& scratch);
-
   /// Grows the memo if the catalog gained features since initialization.
   /// ResourceExhausted (state untouched, edit not applied) when the
   /// attached memory budget denies the growth.
   Status SyncMemoWidth();
 
-  /// Runs body(i, stats, scratch) over every pair index in [0, n),
-  /// fanned out over the pool when one is configured and the range is
-  /// worth it, serial otherwise; returns the summed stats. Parallel
-  /// prerequisites (prewarmed context, pre-materialized decision
-  /// bitmaps) are established here. Bodies must only touch pair-i state
-  /// (memo row i, bit i) — see Options::pool.
-  MatchStats ForEachPair(
-      const std::function<void(size_t i, MatchStats& stats,
-                               PredicateOrderScratch& scratch)>& body);
+  /// Replaces `idx` with the index of every set bit of `bm`, walked a
+  /// word at a time; with `unmatched_only`, pairs already matched are
+  /// left out.
+  void CollectLanes(const Bitmap& bm, bool unmatched_only,
+                    std::vector<uint32_t>& idx) const;
 
-  /// Pre-creates RuleTrue/PredFalse bitmaps for every rule/predicate of
-  /// the current function (MatchState's maps must not rehash under
-  /// concurrent first access from workers).
-  void EnsureDecisionBitmaps();
+  /// Sizes the lane buffers for `idx` and gathers its pair ids; every
+  /// lane starts active.
+  void GatherLanes(const std::vector<uint32_t>& idx);
 
-  /// Shared tail of AddPredicate / tighten: re-check pairs in RuleTrue(r)
-  /// against predicate `p` (already updated in fn_).
-  MatchStats RecheckMatchedPairs(RuleId rid, const Predicate& p);
-
-  // ---- Gathered-block edit evaluation (Options::block_size != 1).
-  // Bit-identical to the per-pair routines above with
-  // check_cache_first=false: same (pair, rule, predicate) evaluation
-  // set, same memo outcomes, merely reordered across lanes. ----
-
-  /// Memoized columnar acquisition of feature `f` for every lane of
-  /// `idx` whose bit is set in `lanes`: probes the memo per lane, then
-  /// batch-computes and stores the misses. col[i] receives each such
-  /// lane's value.
+  /// Memoized acquisition of feature `f` for every active lane of the
+  /// gathered `idx`: probes the memo per lane, computes the misses in one
+  /// ComputeFeatureBlock (over the pool in 64-lane words when there is
+  /// one), and stores them. col_[i] receives each active lane's value.
   void AcquireFeatureGathered(FeatureId f, const std::vector<uint32_t>& idx,
-                              const std::vector<PairId>& gathered,
-                              const uint64_t* lanes, float* col,
                               MatchStats& stats);
 
-  /// Columnar EvalRule over gathered lanes, including the first-false
-  /// PredFalse recording and the clear-on-pass I3 maintenance. Lanes
-  /// where the rule is true are marked matched (+ RuleTrue) and removed
-  /// from `idx`; false lanes remain. Does not count rule_evaluations —
-  /// callers do, exactly where the per-pair routines would.
+  /// Evaluates rule `r` over the lanes `idx`, recording each lane's first
+  /// false predicate in PredFalse and clearing the PredFalse bits of the
+  /// predicates it passes (I3). Lanes where the rule is true are marked
+  /// matched (+ RuleTrue) and removed from `idx`; false lanes remain.
+  /// Does not count rule_evaluations — callers do.
   void EvalRuleGathered(const Rule& r, std::vector<uint32_t>& idx,
                         MatchStats& stats);
 
-  /// Columnar RematchPair over gathered lanes: runs the rules in order
-  /// (skipping position `skip_pos`), with the known-false shortcut
-  /// applied per lane before each rule.
+  /// Re-matches the (unmatched) lanes `idx` against the rules in order,
+  /// skipping position `skip_pos`; a lane with a PredFalse bit set for
+  /// some predicate of a rule skips that rule (the known-false shortcut,
+  /// sound under I3). `idx` ends holding the lanes no rule matched.
   void RematchGathered(std::vector<uint32_t>& idx, size_t skip_pos,
                        MatchStats& stats);
 
-  /// Gathered-block body of RecheckMatchedPairs (block mode, >= 64
-  /// affected lanes): one columnar pass over the edited predicate, then
-  /// RematchGathered for the lanes it now rejects.
-  MatchStats RecheckMatchedGathered(RuleId rid, const Predicate& p);
+  /// Shared tail of AddPredicate / tighten (Algorithm 7): re-check the
+  /// pairs in RuleTrue(rid) against predicate `p` (already updated in
+  /// fn_), and re-match the ones it now rejects.
+  MatchStats RecheckMatchedPairs(RuleId rid, const Predicate& p);
 
-  /// Shared tail of RemovePredicate / relax: re-evaluate unmatched pairs
-  /// in `candidates` (bit indices) against rule `rid`.
+  /// Shared tail of AddRule, RemovePredicate and relax (Algorithms 8 and
+  /// 10): evaluate rule `rid` on the unmatched pairs of `candidates`.
   MatchStats RecheckUnmatchedPairs(RuleId rid, const Bitmap& candidates);
+
+  /// Shared tail of RemoveRule and of removing a rule's last predicate
+  /// (Algorithm 9): un-match the pairs of `affected` and re-match them
+  /// against the remaining rules.
+  MatchStats RematchAffected(const Bitmap& affected);
 
   PairContext& ctx_;
   const CandidateSet& pairs_;
@@ -231,6 +189,16 @@ class IncrementalMatcher {
   bool has_run_ = false;
   RuleId last_added_rule_ = kInvalidRule;
   PredicateId last_added_predicate_ = kInvalidPredicate;
+
+  // Lane buffers, reused across edits and across the rules of one edit.
+  std::vector<uint32_t> lanes_;     ///< an edit's affected pair indices
+  std::vector<uint32_t> eligible_;  ///< RematchGathered: rule's lanes
+  std::vector<uint32_t> deferred_;  ///< RematchGathered: known false
+  std::vector<const Bitmap*> known_false_;
+  std::vector<PairId> gathered_;    ///< pair ids of the gathered lanes
+  std::vector<float> col_;          ///< one feature's value per lane
+  std::vector<uint64_t> active_;    ///< lanes still alive in the rule
+  std::vector<uint64_t> need_;      ///< lanes missing from the memo
 };
 
 }  // namespace emdbg

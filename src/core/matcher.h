@@ -17,7 +17,8 @@ class Matcher {
  public:
   virtual ~Matcher() = default;
 
-  /// Evaluates `fn` over all pairs, checking `control` once per pair. A
+  /// Evaluates `fn` over all pairs, checking `control` once per pair (or
+  /// once per block, for the block engine). A
   /// cancelled or deadline-exceeded run returns a partial MatchResult
   /// (see match_result.h) instead of blocking until completion. The
   /// context supplies feature computation (and its id caches persist

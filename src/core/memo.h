@@ -42,10 +42,10 @@ class Memo {
   virtual void Clear() = 0;
 
   /// Thread-safety contract: true if concurrent Store/Lookup/Contains on
-  /// *different pair rows* is safe (the parallel matcher's access
+  /// *different pair rows* is safe (a pooled BlockMatcher's access
   /// pattern — each candidate pair is evaluated by exactly one worker).
   /// Implementations returning false (HashMemo: a rehash moves every
-  /// bucket) are rejected by ParallelMemoMatcher with a clear Status
+  /// bucket) are rejected by a pooled BlockMatcher with a clear Status
   /// instead of racing; wrap them in a ShardedMemo to share across
   /// workers.
   virtual bool SafeForConcurrentRows() const { return false; }
@@ -193,7 +193,7 @@ class HashMemo final : public Memo {
 /// shards by pair index, each shard a mutex-protected hash map. Pair-row
 /// striping means one worker's pairs always land in the same shards it is
 /// already touching, so lock contention is limited to hash collisions of
-/// the stripe function — in practice near zero for the parallel matcher's
+/// the stripe function — in practice near zero for a pooled run's
 /// disjoint-row access pattern. This is the low-fill-rate (Sec. 7.4)
 /// alternative when a dense pairs × features matrix is too large.
 class ShardedMemo final : public Memo {

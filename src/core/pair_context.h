@@ -107,8 +107,8 @@ class PairContext {
   /// will touch, and, for TF-IDF features whose weights budget pressure
   /// refused, the string model. After prewarming, ComputeFeature for those
   /// features is read-only on shared state and therefore safe to call
-  /// from multiple threads concurrently (used by ParallelMemoMatcher): no
-  /// call builds, bills or inserts.
+  /// from multiple threads concurrently (a pooled BlockMatcher or
+  /// incremental edit does): no call builds, bills or inserts.
   ///
   /// With a pool, the q-gram code rows, the per-record id-array sorting
   /// and the weight vectors fan out across workers (distinct rows, no

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/core/block_matcher.h"
-#include "src/core/parallel_matcher.h"
 #include "src/core/state_io.h"
 #include "src/util/fault_injection.h"
 #include "src/util/stopwatch.h"
@@ -119,21 +118,11 @@ Status ShardedMatchDriver::ProcessShard(const MatchingFunction& fn,
   }
   if (!cap.ok()) return cap;
 
-  MatchResult inner;
-  if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
-    ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-        .pool = options_.pool,
-        .budget = options_.budget,
-        .block_size = options_.block_size == 1 ? 0 : options_.block_size,
-        .cost_model = options_.cost_model});
-    inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
-  } else {
-    BlockMatcher matcher(BlockMatcher::Options{
-        .block_size = options_.block_size,
-        .cost_model = options_.cost_model,
-        .budget = options_.budget});
-    inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
-  }
+  BlockMatcher matcher(
+      BlockMatcher::Options{.cost_model = options_.cost_model,
+                            .budget = options_.budget,
+                            .pool = options_.pool});
+  MatchResult inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
 
   // Merge what was evaluated — even a partial shard's completed bits are
   // valid (the inner engines only set bits they fully decided).
@@ -305,21 +294,12 @@ MatchResult ShardedMatchDriver::Rematch(const MatchingFunction& fn,
                               pairs.pairs().begin() + info.end);
     CandidateSet shard_set(std::move(shard));
 
-    MatchResult inner;
-    if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
-      ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-          .pool = options_.pool,
-          .budget = options_.budget,
-          .block_size = options_.block_size == 1 ? 0 : options_.block_size,
-          .cost_model = options_.cost_model});
-      inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
-    } else {
-      BlockMatcher matcher(BlockMatcher::Options{
-          .block_size = options_.block_size,
-          .cost_model = options_.cost_model,
-          .budget = options_.budget});
-      inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
-    }
+    BlockMatcher matcher(
+        BlockMatcher::Options{.cost_model = options_.cost_model,
+                              .budget = options_.budget,
+                              .pool = options_.pool});
+    MatchResult inner =
+        matcher.RunWithState(fn, shard_set, ctx, state, control);
     if (inner.partial) return fail(inner.status);
     stats += inner.stats;
 

@@ -23,8 +23,8 @@ namespace emdbg {
 /// `Options::shard_pairs` — or derived from the MemoryBudget — not by the
 /// candidate count.
 ///
-/// Pipeline per shard: slice pairs → BlockEvaluator (via BlockMatcher or
-/// ParallelMemoMatcher when a pool is given) fills a shard MatchState →
+/// Pipeline per shard: slice pairs → BlockMatcher (over the pool when one
+/// is given) fills a shard MatchState →
 /// match bits merge into the global bitmap at the shard's offset → the
 /// state spills to `spill_dir/shard-<i>.state` (state_io v2 container,
 /// CRC-checked) on a background IO thread while the next shard evaluates.
@@ -63,11 +63,10 @@ class ShardedMatchDriver {
     /// Accountant for shard state, scratch and spill buffers; also the
     /// default source of the auto shard size. May be null (unbudgeted).
     MemoryBudget* budget = nullptr;
-    /// Borrowed pool: shards evaluate with the parallel block engine
-    /// instead of the serial one. Null = serial. Results are identical.
+    /// Borrowed pool the inner BlockMatcher spreads each shard's blocks
+    /// over. Null = the caller's thread. Results are identical.
     ThreadPool* pool = nullptr;
-    /// Inner block size (see BlockMatcher::Options); 0 = auto.
-    size_t block_size = 0;
+    /// Optional cost model for the inner engine's auto block size.
     const CostModel* cost_model = nullptr;
     /// Spill each shard's MatchState for later Rematch. When false, Run
     /// keeps only the match bits and shard state is discarded as each

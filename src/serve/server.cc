@@ -626,7 +626,6 @@ void Server::HandleOpen(Connection& conn, std::string_view rest) {
       } else {
         DebugSession::Options so;
         so.num_threads = options_.session_threads;
-        so.block_size = options_.session_block_size;
         if (options_.session_sharded) {
           // Out-of-core sessions run in batch mode: sharding needs the
           // memo non-resident, which rules out incremental maintenance.
@@ -726,7 +725,6 @@ void Server::HandleResume(Connection& conn, std::string_view rest) {
       if (entry != nullptr) {
         DebugSession::Options so;
         so.num_threads = options_.session_threads;
-        so.block_size = options_.session_block_size;
         // Note: no sharding here — resume is durable-only, and durability
         // requires incremental sessions, which sharding rules out.
         if (budget_ != nullptr) {

@@ -83,10 +83,6 @@ class Server {
     /// Threads per session's own matching pool (1 = serial; the server's
     /// concurrency normally comes from num_workers across sessions).
     size_t session_threads = 1;
-    /// Pairs per block for columnar batch evaluation inside each session
-    /// (1 = classic per-pair; 0 = cost-model auto; >=2 explicit, rounded
-    /// up to a multiple of 64). Results are bit-identical either way.
-    size_t session_block_size = 1;
     /// Out-of-core sessions: full runs stream through the sharded driver
     /// with shard-sized memo slices bounded by the session quota instead
     /// of a resident memo (see DebugSession::Options::sharded). Only

@@ -164,7 +164,10 @@ void Bitmap::OrSpan(size_t bit_offset, const uint64_t* words, size_t nbits) {
   if (w == 0) return;
   for (size_t i = 0; i + 1 < w; ++i) words_[w0 + i] |= words[i];
   words_[w0 + w - 1] |= words[w - 1] & bitspan::TailMask(nbits);
-  TrimTail();
+  // Only a span ending in the last word can set bits past size(). Spans
+  // of other words must not touch that word: concurrent workers OR
+  // disjoint spans, and a trim here would race with its owner's OR.
+  if (w0 + w == words_.size()) TrimTail();
 }
 
 void Bitmap::AndNotSpan(size_t bit_offset, const uint64_t* words,

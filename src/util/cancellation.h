@@ -15,7 +15,8 @@ namespace emdbg {
 /// The paper's premise is interactivity: an analyst edits a rule and
 /// expects feedback in seconds. A mistyped threshold can make a predicate
 /// pathologically expensive, so every matcher accepts a `RunControl` and
-/// checks it once per candidate pair. A run that is cancelled or exceeds
+/// checks it once per candidate pair (once per block of pairs in the
+/// block engine). A run that is cancelled or exceeds
 /// its deadline stops cleanly and returns a *partial* `MatchResult` — the
 /// pairs completed so far plus a `Status` explaining why — instead of
 /// freezing the session.

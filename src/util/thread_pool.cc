@@ -86,7 +86,9 @@ void ThreadPool::ThreadLoop(size_t worker) {
 }
 
 void ThreadPool::RunWorker(Job& job, size_t w) {
-  StopCheck stop(*job.control);
+  // Items are coarse (a block matcher's blocks): read the deadline clock
+  // at every one.
+  StopCheck stop(*job.control, /*deadline_stride=*/1);
   std::vector<std::pair<size_t, size_t>>& done = job.completed[w];
 
   // Runs one claimed chunk; false = the run was stopped inside it. The

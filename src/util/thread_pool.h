@@ -36,8 +36,9 @@ namespace emdbg {
 /// matching engine record per-rule/per-predicate decision bitmaps from
 /// concurrent workers with zero locking.
 ///
-/// Cancellation: `ParallelFor` checks the `RunControl` once per item (the
-/// same once-per-pair contract as the serial matchers). On a stop, every
+/// Cancellation: `ParallelFor` checks the `RunControl`, deadline clock
+/// included, once per item (the block matcher's item is a block, its
+/// cancellation unit). On a stop, every
 /// worker drains cleanly — no detached threads — and the result reports
 /// the *exact* set of items whose body ran, as disjoint index ranges;
 /// callers translate those into a partial result's `evaluated` bitmap.

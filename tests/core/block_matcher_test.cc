@@ -1,6 +1,7 @@
 /// Randomized differential suite for the columnar block engine: for every
-/// rule-set shape, block size, and context rung (id columns, or the string
-/// kernels re-tokenizing per call), BlockMatcher must be
+/// rule-set shape, block size, context rung (id columns, or the string
+/// kernels re-tokenizing per call) and pool (none, or 4 workers),
+/// BlockMatcher must be
 /// *bit-identical* to the serial MemoMatcher — same match bitmap, same
 /// per-rule/per-predicate decision bitmaps, same MatchStats counters, same
 /// memo contents — because it performs the same set of evaluations, merely
@@ -17,6 +18,7 @@
 #include "src/core/rule_generator.h"
 #include "src/core/sampler.h"
 #include "src/util/memory_budget.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace emdbg {
@@ -102,7 +104,64 @@ class BlockDifferentialTest : public ::testing::TestWithParam<ParamType> {
   BlockMatcher MakeBlock() {
     BlockMatcher::Options opts;
     opts.block_size = std::get<3>(GetParam());
+    opts.pool = pool_.get();
     return BlockMatcher(opts);
+  }
+
+  void CheckRunWithState() {
+    const MatchingFunction fn = MakeFunction();
+    MemoMatcher serial;  // defaults: ccf off — the block-mode semantics
+    BlockMatcher block = MakeBlock();
+
+    MatchState serial_state;
+    const MatchResult sr =
+        serial.RunWithState(fn, ds_->candidates, *ctx_, serial_state);
+    MatchState block_state;
+    const MatchResult br =
+        block.RunWithState(fn, ds_->candidates, *ctx_, block_state);
+
+    EXPECT_EQ(br.matches, sr.matches);
+    EXPECT_FALSE(br.partial);
+    EXPECT_EQ(br.pairs_completed, sr.pairs_completed);
+    ExpectSameCounters(br.stats, sr.stats);
+    ExpectSameState(fn, block_state, serial_state);
+    ExpectSameMemo(block_state.memo(), serial_state.memo());
+    EXPECT_EQ(block_state.matches(), serial_state.matches());
+    EXPECT_EQ(ctx_->id_path_degraded(), !std::get<0>(GetParam()));
+  }
+
+  void CheckMemoLessRun() {
+    const MatchingFunction fn = MakeFunction();
+    MemoMatcher serial;
+    BlockMatcher block = MakeBlock();
+
+    const MatchResult sr = serial.Run(fn, ds_->candidates, *ctx_);
+    const MatchResult br = block.Run(fn, ds_->candidates, *ctx_);
+
+    EXPECT_EQ(br.matches, sr.matches);
+    ExpectSameCounters(br.stats, sr.stats);
+  }
+
+  void CheckWarmMemoReuse() {
+    const MatchingFunction fn = MakeFunction();
+    MemoMatcher serial;
+    BlockMatcher block = MakeBlock();
+
+    // Warm both memos with a first run, then re-run: the second pass must
+    // be all hits, and still agree.
+    DenseMemo serial_memo(ds_->candidates.size(), catalog_->size());
+    DenseMemo block_memo(ds_->candidates.size(), catalog_->size());
+    (void)serial.RunWithMemo(fn, ds_->candidates, *ctx_, serial_memo);
+    (void)block.RunWithMemo(fn, ds_->candidates, *ctx_, block_memo);
+    ExpectSameMemo(block_memo, serial_memo);
+
+    const MatchResult sr =
+        serial.RunWithMemo(fn, ds_->candidates, *ctx_, serial_memo);
+    const MatchResult br =
+        block.RunWithMemo(fn, ds_->candidates, *ctx_, block_memo);
+    EXPECT_EQ(br.matches, sr.matches);
+    ExpectSameCounters(br.stats, sr.stats);
+    EXPECT_EQ(br.stats.feature_computations, 0u);
   }
 
   MemoryBudget refusing_{1, "refusing"};
@@ -110,81 +169,64 @@ class BlockDifferentialTest : public ::testing::TestWithParam<ParamType> {
   std::unique_ptr<FeatureCatalog> catalog_;
   std::unique_ptr<PairContext> ctx_;
   std::unique_ptr<CandidateSet> sample_;
+  /// Null: blocks run in the test's thread.
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+/// The same sweep with the blocks spread over a 4-worker pool.
+class ParallelBlockDifferentialTest : public BlockDifferentialTest {
+ protected:
+  void SetUp() override {
+    BlockDifferentialTest::SetUp();
+    pool_ = std::make_unique<ThreadPool>(4);
+  }
 };
 
 TEST_P(BlockDifferentialTest, RunWithStateBitIdentical) {
-  const MatchingFunction fn = MakeFunction();
-  MemoMatcher serial;  // defaults: ccf off — the block-mode semantics
-  BlockMatcher block = MakeBlock();
-
-  MatchState serial_state;
-  const MatchResult sr =
-      serial.RunWithState(fn, ds_->candidates, *ctx_, serial_state);
-  MatchState block_state;
-  const MatchResult br =
-      block.RunWithState(fn, ds_->candidates, *ctx_, block_state);
-
-  EXPECT_EQ(br.matches, sr.matches);
-  EXPECT_FALSE(br.partial);
-  EXPECT_EQ(br.pairs_completed, sr.pairs_completed);
-  ExpectSameCounters(br.stats, sr.stats);
-  ExpectSameState(fn, block_state, serial_state);
-  ExpectSameMemo(block_state.memo(), serial_state.memo());
-  EXPECT_EQ(block_state.matches(), serial_state.matches());
-  EXPECT_EQ(ctx_->id_path_degraded(), !std::get<0>(GetParam()));
+  CheckRunWithState();
 }
 
 TEST_P(BlockDifferentialTest, MemoLessRunMatchesSerial) {
-  const MatchingFunction fn = MakeFunction();
-  MemoMatcher serial;
-  BlockMatcher block = MakeBlock();
-
-  const MatchResult sr = serial.Run(fn, ds_->candidates, *ctx_);
-  const MatchResult br = block.Run(fn, ds_->candidates, *ctx_);
-
-  EXPECT_EQ(br.matches, sr.matches);
-  ExpectSameCounters(br.stats, sr.stats);
+  CheckMemoLessRun();
 }
 
 TEST_P(BlockDifferentialTest, WarmMemoReusedIdentically) {
-  const MatchingFunction fn = MakeFunction();
-  MemoMatcher serial;
-  BlockMatcher block = MakeBlock();
-
-  // Warm both memos with a first run, then re-run: the second pass must
-  // be all hits, and still agree.
-  DenseMemo serial_memo(ds_->candidates.size(), catalog_->size());
-  DenseMemo block_memo(ds_->candidates.size(), catalog_->size());
-  (void)serial.RunWithMemo(fn, ds_->candidates, *ctx_, serial_memo);
-  (void)block.RunWithMemo(fn, ds_->candidates, *ctx_, block_memo);
-  ExpectSameMemo(block_memo, serial_memo);
-
-  const MatchResult sr =
-      serial.RunWithMemo(fn, ds_->candidates, *ctx_, serial_memo);
-  const MatchResult br =
-      block.RunWithMemo(fn, ds_->candidates, *ctx_, block_memo);
-  EXPECT_EQ(br.matches, sr.matches);
-  ExpectSameCounters(br.stats, sr.stats);
-  EXPECT_EQ(br.stats.feature_computations, 0u);
+  CheckWarmMemoReuse();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BlockDifferentialTest,
+TEST_P(ParallelBlockDifferentialTest, RunWithStateBitIdentical) {
+  CheckRunWithState();
+}
+
+TEST_P(ParallelBlockDifferentialTest, MemoLessRunMatchesSerial) {
+  CheckMemoLessRun();
+}
+
+TEST_P(ParallelBlockDifferentialTest, WarmMemoReusedIdentically) {
+  CheckWarmMemoReuse();
+}
+
+/// Test names: id columns or strings, rule count, seed, block size.
+std::string SweepName(const ::testing::TestParamInfo<ParamType>& info) {
+  const bool ids = std::get<0>(info.param);
+  const int rules = std::get<1>(info.param);
+  const int seed = std::get<2>(info.param);
+  const size_t block = std::get<3>(info.param);
+  return std::string(ids ? "ids" : "strings") + "_r" +
+         std::to_string(rules) + "_s" + std::to_string(seed) +
+         (block == 0 ? std::string("_auto") : "_b" + std::to_string(block));
+}
+
+const auto kSweep =
     ::testing::Combine(::testing::Bool(),            // id columns
                        ::testing::Values(1, 3, 8),   // rules (CNF 1..5 each)
                        ::testing::Values(1, 2, 3),   // generator seed
                        ::testing::Values(size_t{64}, size_t{192},
-                                         size_t{1024}, size_t{0})),
-    [](const ::testing::TestParamInfo<ParamType>& info) {
-      const bool ids = std::get<0>(info.param);
-      const int rules = std::get<1>(info.param);
-      const int seed = std::get<2>(info.param);
-      const size_t block = std::get<3>(info.param);
-      return std::string(ids ? "ids" : "strings") + "_r" +
-             std::to_string(rules) + "_s" + std::to_string(seed) +
-             (block == 0 ? std::string("_auto")
-                         : "_b" + std::to_string(block));
-    });
+                                         size_t{1024}, size_t{0}));
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BlockDifferentialTest, kSweep, SweepName);
+INSTANTIATE_TEST_SUITE_P(Sweep, ParallelBlockDifferentialTest, kSweep,
+                         SweepName);
 
 class BlockMatcherTest : public ::testing::Test {
  protected:

@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "src/core/adaptive_matcher.h"
+#include "src/core/block_matcher.h"
 #include "src/core/cost_model.h"
 #include "src/core/debug_session.h"
 #include "src/core/early_exit_matcher.h"
 #include "src/core/memo_matcher.h"
-#include "src/core/parallel_matcher.h"
 #include "src/core/precompute_matcher.h"
 #include "src/core/rudimentary_matcher.h"
 #include "src/core/rule_generator.h"
@@ -73,11 +73,13 @@ class CancellationTest : public ::testing::Test {
     out.push_back(std::make_unique<PrecomputeMatcher>(
         PrecomputeMatcher::Scope::kProduction));
     out.push_back(std::make_unique<AdaptiveMemoMatcher>(model));
-    out.push_back(std::make_unique<ParallelMemoMatcher>(
-        ParallelMemoMatcher::Options{.num_threads = 4}));
+    out.push_back(std::make_unique<BlockMatcher>());
+    out.push_back(std::make_unique<BlockMatcher>(
+        BlockMatcher::Options{.pool = &pool_}));
     return out;
   }
 
+  ThreadPool pool_{4};
   GeneratedDataset ds_;
   FeatureCatalog catalog_;
   std::unique_ptr<PairContext> ctx_;
@@ -218,7 +220,7 @@ TEST_F(CancellationTest, CancelFromAnotherThreadStopsSerialRun) {
   }
 }
 
-/// ParallelMemoMatcher: a cancel mid-run must drain all workers (Run
+/// BlockMatcher over a pool: a cancel mid-run must drain all workers (Run
 /// returns only after joins — TSan validates the absence of races) and
 /// every pair flagged evaluated must carry the correct bit.
 TEST_F(CancellationTest, ParallelCancelMidRunDrainsWorkersCorrectly) {
@@ -244,8 +246,8 @@ TEST_F(CancellationTest, ParallelCancelMidRunDrainsWorkersCorrectly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     token.RequestCancel();
   });
-  ParallelMemoMatcher parallel(
-      ParallelMemoMatcher::Options{.num_threads = 4});
+  ThreadPool pool(4);
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   const MatchResult r =
       parallel.Run(fn, big.candidates, ctx, RunControl(token));
   canceller.join();
@@ -274,8 +276,8 @@ TEST_F(CancellationTest, ParallelPreCancelledAllThreadCounts) {
   CancellationToken token;
   token.RequestCancel();
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelMemoMatcher parallel(
-        ParallelMemoMatcher::Options{.num_threads = threads});
+    ThreadPool pool(threads);
+    BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
     const MatchResult r =
         parallel.Run(fn, ds_.candidates, *ctx_, RunControl(token));
     EXPECT_TRUE(r.partial) << threads << " threads";

@@ -1,9 +1,6 @@
 #include "src/core/cost_model.h"
 
-#include <algorithm>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -218,45 +215,6 @@ TEST_F(CostModelTest, EstimateForFunctionCoversUsedFeatures) {
   for (const FeatureId f : fn.UsedFeatures()) {
     EXPECT_TRUE(model.HasFeature(f));
   }
-}
-
-TEST_F(CostModelTest, SampleMatchRateEqualsMemoMatcherOnSample) {
-  // emdbg_match picks its engine from this rate instead of running the
-  // sample again. Random rule sets with few to many rules and loose to
-  // tight thresholds, each with an empty rule, which RuleTruthOnSample
-  // calls true everywhere but which matches nothing.
-  const std::pair<double, double> quantiles[] = {
-      {-1.0, -1.0}, {0.2, 0.5}, {0.9, 0.99}};
-  std::vector<double> rates;
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    RuleGeneratorConfig config;
-    config.num_rules = 1 + seed % 6;
-    config.min_predicates = 1;
-    config.max_predicates = 4;
-    config.quantile_lo = quantiles[seed % 3].first;
-    config.quantile_hi = quantiles[seed % 3].second;
-    config.seed = seed;
-    RuleGenerator gen(*ctx_, sample_, config);
-    MatchingFunction fn = gen.Generate();
-    fn.AddRule(Rule("empty"));
-    const CostModel model =
-        CostModel::EstimateForFunction(fn, *ctx_, sample_);
-    const MatchResult run = MemoMatcher().Run(fn, sample_, *ctx_);
-    const double want = static_cast<double>(run.MatchCount()) /
-                        static_cast<double>(sample_.size());
-    EXPECT_EQ(model.SampleMatchRate(fn), want) << "seed " << seed;
-    rates.push_back(want);
-  }
-  // The rule sets span rates, so the comparison is not vacuous.
-  EXPECT_LT(*std::min_element(rates.begin(), rates.end()), 0.1);
-  EXPECT_GT(*std::max_element(rates.begin(), rates.end()), 0.5);
-
-  // Only an empty rule: nothing matches.
-  MatchingFunction only_empty;
-  only_empty.AddRule(Rule("empty"));
-  const CostModel model =
-      CostModel::EstimateForFunction(only_empty, *ctx_, sample_);
-  EXPECT_EQ(model.SampleMatchRate(only_empty), 0.0);
 }
 
 }  // namespace

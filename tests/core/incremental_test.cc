@@ -1,6 +1,9 @@
 #include "src/core/incremental.h"
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -40,11 +43,126 @@ class IncrementalTest : public ::testing::Test {
     EXPECT_EQ(inc.matches(), OracleMatches(inc.function()));
   }
 
+  /// A fresh ComputeFeature of (pair i, feature f), float-quantized as
+  /// the memo stores it; cached, since the context is deterministic.
+  float Fresh(size_t i, FeatureId f) {
+    const size_t width = catalog_.size();
+    if (fresh_width_ != width) {
+      fresh_.assign(ds_.candidates.size() * width,
+                    std::numeric_limits<float>::quiet_NaN());
+      fresh_width_ = width;
+    }
+    float& v = fresh_[i * width + f];
+    if (std::isnan(v)) {
+      v = static_cast<float>(ctx_->ComputeFeature(f, ds_.candidates.pair(i)));
+    }
+    return v;
+  }
+
+  /// The invariants the edits maintain, beyond I1 (matches):
+  ///   I2: each matched pair has exactly one RuleTrue bit, no unmatched
+  ///       pair has one, and that rule is true on the pair;
+  ///   I3: every set PredFalse bit names a predicate that is currently
+  ///       false on that pair;
+  ///   and every memo value equals a fresh ComputeFeature.
+  void ExpectInvariants(const IncrementalMatcher& inc) {
+    const MatchingFunction& fn = inc.function();
+    const MatchState& state = inc.state();
+    const size_t n = ds_.candidates.size();
+    const auto passes = [&](const Predicate& p, size_t i) {
+      return p.Test(static_cast<double>(Fresh(i, p.feature)));
+    };
+    std::vector<int> responsible(n, 0);
+    for (const Rule& r : fn.rules()) {
+      const Bitmap* rule_true = state.FindRuleTrue(r.id());
+      if (rule_true != nullptr) {
+        for (size_t i = rule_true->FindNext(0); i < n;
+             i = rule_true->FindNext(i + 1)) {
+          ++responsible[i];
+          ASSERT_FALSE(r.empty()) << "empty rule " << r.id() << " pair " << i;
+          for (const Predicate& p : r.predicates()) {
+            ASSERT_TRUE(passes(p, i)) << "I2: rule " << r.id()
+                                      << " is false on pair " << i;
+          }
+        }
+      }
+      for (const Predicate& p : r.predicates()) {
+        const Bitmap* pred_false = state.FindPredFalse(p.id);
+        if (pred_false == nullptr) continue;
+        for (size_t i = pred_false->FindNext(0); i < n;
+             i = pred_false->FindNext(i + 1)) {
+          ASSERT_FALSE(passes(p, i)) << "I3: predicate " << p.id
+                                     << " passes on pair " << i;
+        }
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(responsible[i], inc.matches().Get(i) ? 1 : 0)
+          << "I2: pair " << i;
+    }
+    const DenseMemo& memo = state.memo();
+    for (size_t i = 0; i < n; ++i) {
+      for (FeatureId f = 0; f < memo.num_features(); ++f) {
+        double v = 0.0;
+        if (!memo.Lookup(i, f, &v)) continue;
+        ASSERT_EQ(static_cast<float>(v), Fresh(i, f))
+            << "memo pair " << i << " feature " << f;
+      }
+    }
+  }
+
+  /// The central property test: a long random mixed edit sequence,
+  /// verified against a from-scratch run and the invariants after every
+  /// edit.
+  void RandomEditSequence(IncrementalMatcher& inc) {
+    inc.FullRun(gen_->Generate());
+    ExpectInvariants(inc);
+    Rng rng(8);
+    for (int step = 0; step < 60; ++step) {
+      const uint64_t op = rng.Uniform(6);
+      const size_t num_rules = inc.function().num_rules();
+      if (op == 0 || num_rules == 0) {
+        ASSERT_TRUE(inc.AddRule(gen_->GenerateRule(rng)).ok());
+      } else if (op == 1 && num_rules > 1) {
+        const RuleId rid =
+            inc.function().rule(rng.Uniform(num_rules)).id();
+        ASSERT_TRUE(inc.RemoveRule(rid).ok());
+      } else if (op == 2) {
+        const RuleId rid =
+            inc.function().rule(rng.Uniform(num_rules)).id();
+        const Rule donor = gen_->GenerateRule(rng);
+        ASSERT_TRUE(inc.AddPredicate(rid, donor.predicate(0)).ok());
+      } else if (op == 3) {
+        const Rule& rule = inc.function().rule(rng.Uniform(num_rules));
+        if (rule.empty()) continue;
+        const PredicateId pid =
+            rule.predicate(rng.Uniform(rule.size())).id;
+        ASSERT_TRUE(inc.RemovePredicate(rule.id(), pid).ok());
+      } else {
+        const Rule& rule = inc.function().rule(rng.Uniform(num_rules));
+        if (rule.empty()) continue;
+        const Predicate& p = rule.predicate(rng.Uniform(rule.size()));
+        // Random direction: tighten or relax by a random amount.
+        const double t = rng.NextDouble();
+        ASSERT_TRUE(inc.SetThreshold(rule.id(), p.id, t).ok());
+      }
+      ASSERT_EQ(inc.matches(), OracleMatches(inc.function()))
+          << "diverged at step " << step << " (op " << op << ")";
+      ExpectInvariants(inc);
+      if (HasFatalFailure()) {
+        FAIL() << "invariant broken at step " << step << " (op " << op
+               << ")";
+      }
+    }
+  }
+
   GeneratedDataset ds_;
   FeatureCatalog catalog_;
   std::unique_ptr<PairContext> ctx_;
   CandidateSet sample_;
   std::unique_ptr<RuleGenerator> gen_;
+  std::vector<float> fresh_;
+  size_t fresh_width_ = 0;
 };
 
 TEST_F(IncrementalTest, EditsBeforeFullRunAreRejected) {
@@ -224,86 +342,20 @@ TEST_F(IncrementalTest, SetThresholdErrors) {
             StatusCode::kNotFound);
 }
 
-// The central property test: a long random mixed edit sequence, verified
-// against a from-scratch run after every edit.
+// The central property test, on the serial engine.
 TEST_F(IncrementalTest, RandomEditSequenceStaysConsistent) {
   IncrementalMatcher inc(*ctx_, ds_.candidates);
-  inc.FullRun(gen_->Generate());
-  Rng rng(8);
-  for (int step = 0; step < 60; ++step) {
-    const uint64_t op = rng.Uniform(6);
-    const size_t num_rules = inc.function().num_rules();
-    if (op == 0 || num_rules == 0) {
-      ASSERT_TRUE(inc.AddRule(gen_->GenerateRule(rng)).ok());
-    } else if (op == 1 && num_rules > 1) {
-      const RuleId rid =
-          inc.function().rule(rng.Uniform(num_rules)).id();
-      ASSERT_TRUE(inc.RemoveRule(rid).ok());
-    } else if (op == 2) {
-      const RuleId rid =
-          inc.function().rule(rng.Uniform(num_rules)).id();
-      const Rule donor = gen_->GenerateRule(rng);
-      ASSERT_TRUE(inc.AddPredicate(rid, donor.predicate(0)).ok());
-    } else if (op == 3) {
-      const Rule& rule = inc.function().rule(rng.Uniform(num_rules));
-      if (rule.empty()) continue;
-      const PredicateId pid =
-          rule.predicate(rng.Uniform(rule.size())).id;
-      ASSERT_TRUE(inc.RemovePredicate(rule.id(), pid).ok());
-    } else {
-      const Rule& rule = inc.function().rule(rng.Uniform(num_rules));
-      if (rule.empty()) continue;
-      const Predicate& p = rule.predicate(rng.Uniform(rule.size()));
-      // Random direction: tighten or relax by a random amount.
-      const double t = rng.NextDouble();
-      ASSERT_TRUE(inc.SetThreshold(rule.id(), p.id, t).ok());
-    }
-    ASSERT_EQ(inc.matches(), OracleMatches(inc.function()))
-        << "diverged at step " << step << " (op " << op << ")";
-  }
+  RandomEditSequence(inc);
 }
 
-// Same property with the affected-pair re-matching fanned out over a
-// work-stealing pool (min_parallel_pairs = 0 forces the parallel path
-// even on this small dataset). Every edit's result must be identical to
-// the serial oracle regardless of scheduling.
+// Same property with the full run's blocks and each edit's missing feature
+// lanes spread over a work-stealing pool. Every edit's result must be
+// identical to the serial oracle regardless of scheduling.
 TEST_F(IncrementalTest, RandomEditsConsistentWithWorkerPool) {
   ThreadPool pool(4);
   IncrementalMatcher inc(*ctx_, ds_.candidates,
-                         IncrementalMatcher::Options{
-                             .pool = &pool, .min_parallel_pairs = 0});
-  inc.FullRun(gen_->Generate());
-  Rng rng(8);  // same seed as RandomEditSequenceStaysConsistent
-  for (int step = 0; step < 60; ++step) {
-    const uint64_t op = rng.Uniform(6);
-    const size_t num_rules = inc.function().num_rules();
-    if (op == 0 || num_rules == 0) {
-      ASSERT_TRUE(inc.AddRule(gen_->GenerateRule(rng)).ok());
-    } else if (op == 1 && num_rules > 1) {
-      const RuleId rid =
-          inc.function().rule(rng.Uniform(num_rules)).id();
-      ASSERT_TRUE(inc.RemoveRule(rid).ok());
-    } else if (op == 2) {
-      const RuleId rid =
-          inc.function().rule(rng.Uniform(num_rules)).id();
-      const Rule donor = gen_->GenerateRule(rng);
-      ASSERT_TRUE(inc.AddPredicate(rid, donor.predicate(0)).ok());
-    } else if (op == 3) {
-      const Rule& rule = inc.function().rule(rng.Uniform(num_rules));
-      if (rule.empty()) continue;
-      const PredicateId pid =
-          rule.predicate(rng.Uniform(rule.size())).id;
-      ASSERT_TRUE(inc.RemovePredicate(rule.id(), pid).ok());
-    } else {
-      const Rule& rule = inc.function().rule(rng.Uniform(num_rules));
-      if (rule.empty()) continue;
-      const Predicate& p = rule.predicate(rng.Uniform(rule.size()));
-      const double t = rng.NextDouble();
-      ASSERT_TRUE(inc.SetThreshold(rule.id(), p.id, t).ok());
-    }
-    ASSERT_EQ(inc.matches(), OracleMatches(inc.function()))
-        << "diverged at step " << step << " (op " << op << ")";
-  }
+                         IncrementalMatcher::Options{.pool = &pool});
+  RandomEditSequence(inc);
 }
 
 // Parallel and serial incremental engines must report identical work
@@ -312,8 +364,7 @@ TEST_F(IncrementalTest, PoolPreservesEditStats) {
   ThreadPool pool(4);
   IncrementalMatcher serial(*ctx_, ds_.candidates);
   IncrementalMatcher parallel(*ctx_, ds_.candidates,
-                              IncrementalMatcher::Options{
-                                  .pool = &pool, .min_parallel_pairs = 0});
+                              IncrementalMatcher::Options{.pool = &pool});
   const MatchingFunction fn = gen_->Generate();
   serial.FullRun(fn);
   parallel.FullRun(fn);
@@ -340,11 +391,9 @@ TEST_F(IncrementalTest, PoolPreservesEditStats) {
   EXPECT_EQ(serial.matches(), parallel.matches());
 }
 
-// Same property with check-cache-first disabled.
+// A second random sequence, weighted toward added rules and thresholds.
 TEST_F(IncrementalTest, RandomEditsConsistentWithoutCheckCacheFirst) {
-  IncrementalMatcher inc(*ctx_, ds_.candidates,
-                         IncrementalMatcher::Options{
-                             .check_cache_first = false});
+  IncrementalMatcher inc(*ctx_, ds_.candidates);
   inc.FullRun(gen_->Generate());
   Rng rng(9);
   for (int step = 0; step < 30; ++step) {

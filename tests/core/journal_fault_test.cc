@@ -19,9 +19,10 @@ namespace {
 ///  * journal.write fires *before* the record reaches the file, so a
 ///    failed edit is guaranteed absent on disk: recovery restores exactly
 ///    the acknowledged edits.
-///  * journal.fsync fires *after* the record is in the file, so a failed
-///    edit is journaled-but-unacknowledged: recovery legitimately replays
-///    it. Acked edits are never lost either way.
+///  * journal.fsync fires *after* the record is in the file; the journal
+///    then truncates the record away again, so recovery restores exactly
+///    the acknowledged edits and a client may retry the failed one.
+///    Acked edits are never lost either way.
 ///  * A checkpoint that tears mid-write (state.atomic_write) leaves the
 ///    previous checkpoint + journal authoritative.
 ///  * Recovery is idempotent: recovering the same directory twice gives
@@ -72,7 +73,7 @@ class JournalFaultTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(JournalFaultTest, FsyncFaultLeavesJournaledButUnackedEdit) {
+TEST_F(JournalFaultTest, FsyncFaultRollsBackTheUnackedEdit) {
   std::string acked_dsl;
   std::string unacked_dsl;
   {
@@ -82,9 +83,12 @@ TEST_F(JournalFaultTest, FsyncFaultLeavesJournaledButUnackedEdit) {
     ASSERT_TRUE(SetR1Threshold(*session, 0.61).ok());  // acked
     acked_dsl = Dsl(*session);
 
-    // The next journal fsync fails; the record is already in the file.
+    // The next journal fsync fails after the record reached the file.
     FaultInjection::Arm("journal.fsync", FaultInjection::Plan{});
-    EXPECT_EQ(SetR1Threshold(*session, 0.62).code(), StatusCode::kIoError);
+    const Status failed = SetR1Threshold(*session, 0.62);
+    EXPECT_EQ(failed.code(), StatusCode::kIoError);
+    EXPECT_NE(failed.message().find("rolled back"), std::string::npos)
+        << failed.message();
     EXPECT_EQ(FaultInjection::Failures("journal.fsync"), 1u);
     FaultInjection::DisarmAll();
     // In-memory the edit applied (the caller was told otherwise — the
@@ -96,18 +100,13 @@ TEST_F(JournalFaultTest, FsyncFaultLeavesJournaledButUnackedEdit) {
 
   auto recovered = FreshSessionForRecovery();
   ASSERT_TRUE(recovered->Recover(dir_).ok());
-  // The fsync may or may not have hit the platters before the "crash";
-  // with the injected failure the bytes are in the file, so replay
-  // includes the unacknowledged edit. Either end state is a legal
-  // outcome of this crash — what is NOT legal is losing the acked edit
-  // or inventing a third state.
-  const std::string got = Dsl(*recovered);
-  EXPECT_TRUE(got == acked_dsl || got == unacked_dsl)
-      << "recovered to a state that matches neither candidate:\n"
-      << got;
-  EXPECT_EQ(got, unacked_dsl)
-      << "the injected fsync fault writes the record first, so replay "
-         "deterministically includes the unacked edit";
+  // The failed append truncated its record away, so replay restores
+  // exactly the acknowledged state: a client that retries the edit after
+  // resuming applies it once.
+  EXPECT_EQ(Dsl(*recovered), acked_dsl)
+      << "recovery must restore the acknowledged edits, nothing more";
+  EXPECT_DOUBLE_EQ(recovered->function().rule(0).predicate(0).threshold,
+                   0.61);
 }
 
 TEST_F(JournalFaultTest, WriteFaultRecoversAckedEditsExactly) {
@@ -217,9 +216,9 @@ TEST_F(JournalFaultTest, RepeatedFsyncFaultsNeverLoseAckedEdits) {
   auto recovered = FreshSessionForRecovery();
   ASSERT_TRUE(recovered->Recover(dir_).ok());
   // set_threshold edits are totally ordered on one predicate: the
-  // recovered threshold is at least the last acked one (a later
-  // journaled-but-unacked record may push it further forward, never
-  // back), and never beyond the last value attempted.
+  // recovered threshold is at least the last acked one (failed appends
+  // are rolled back, so nothing pushes it further forward), and never
+  // beyond the last value attempted.
   const double recovered_t =
       recovered->function().rule(0).predicate(0).threshold;
   EXPECT_GE(recovered_t, last_acked_t - 1e-12)

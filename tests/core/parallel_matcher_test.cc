@@ -1,4 +1,6 @@
-#include "src/core/parallel_matcher.h"
+/// BlockMatcher over a work-stealing pool: every worker count and schedule
+/// must give MemoMatcher's result (check-cache-first off, the block
+/// engine's contract) — matches, decision bitmaps and MatchStats.
 
 #include <algorithm>
 #include <memory>
@@ -7,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/block_matcher.h"
 #include "src/core/memo_matcher.h"
 #include "src/core/rule_generator.h"
 #include "src/core/rule_parser.h"
@@ -49,8 +52,8 @@ TEST_F(ParallelMatcherTest, AgreesWithSerialAcrossThreadCounts) {
   MemoMatcher serial;
   const Bitmap expected = serial.Run(fn, ds_.candidates, *ctx_).matches;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelMemoMatcher parallel(
-        ParallelMemoMatcher::Options{.num_threads = threads});
+    ThreadPool pool(threads);
+    BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
     EXPECT_EQ(parallel.Run(fn, ds_.candidates, *ctx_).matches, expected)
         << threads << " threads";
   }
@@ -70,8 +73,8 @@ TEST_F(ParallelMatcherTest, InterningBitIdenticalSerialAndParallel) {
   EXPECT_TRUE(fallback.id_path_degraded());
   const Bitmap ids = serial.Run(fn, ds_.candidates, *ctx_).matches;
   EXPECT_EQ(ids, strings);
-  ParallelMemoMatcher parallel(
-      ParallelMemoMatcher::Options{.num_threads = 4});
+  ThreadPool pool(4);
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   PairContext ctx_fresh(ds_.a, ds_.b, catalog_);
   EXPECT_EQ(parallel.Run(fn, ds_.candidates, ctx_fresh).matches, strings);
   PairContext fallback_fresh(ds_.a, ds_.b, catalog_,
@@ -81,19 +84,10 @@ TEST_F(ParallelMatcherTest, InterningBitIdenticalSerialAndParallel) {
   EXPECT_TRUE(fallback_fresh.id_path_degraded());
 }
 
-TEST_F(ParallelMatcherTest, CheckCacheFirstVariantAgrees) {
-  const MatchingFunction fn = Rules(8, 9);
-  MemoMatcher serial;
-  const Bitmap expected = serial.Run(fn, ds_.candidates, *ctx_).matches;
-  ParallelMemoMatcher parallel(ParallelMemoMatcher::Options{
-      .num_threads = 4, .check_cache_first = true});
-  EXPECT_EQ(parallel.Run(fn, ds_.candidates, *ctx_).matches, expected);
-}
-
 TEST_F(ParallelMatcherTest, StatsAggregateAcrossThreads) {
   const MatchingFunction fn = Rules(6, 11);
-  ParallelMemoMatcher parallel(
-      ParallelMemoMatcher::Options{.num_threads = 4});
+  ThreadPool pool(4);
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   const MatchResult result = parallel.Run(fn, ds_.candidates, *ctx_);
   // Same per-pair work as serial DM+EE: each pair evaluates every rule
   // until one fires, so rule_evaluations is bounded by pairs * rules and
@@ -106,16 +100,16 @@ TEST_F(ParallelMatcherTest, StatsAggregateAcrossThreads) {
 
 TEST_F(ParallelMatcherTest, DeterministicMatchesAcrossRuns) {
   const MatchingFunction fn = Rules(8, 13);
-  ParallelMemoMatcher parallel(
-      ParallelMemoMatcher::Options{.num_threads = 4});
+  ThreadPool pool(4);
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   const Bitmap first = parallel.Run(fn, ds_.candidates, *ctx_).matches;
   const Bitmap second = parallel.Run(fn, ds_.candidates, *ctx_).matches;
   EXPECT_EQ(first, second);
 }
 
 TEST_F(ParallelMatcherTest, EmptyFunctionAndEmptyPairs) {
-  ParallelMemoMatcher parallel(
-      ParallelMemoMatcher::Options{.num_threads = 4});
+  ThreadPool pool(4);
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   EXPECT_EQ(
       parallel.Run(MatchingFunction(), ds_.candidates, *ctx_).MatchCount(),
       0u);
@@ -126,11 +120,11 @@ TEST_F(ParallelMatcherTest, EmptyFunctionAndEmptyPairs) {
 
 TEST_F(ParallelMatcherTest, RunWithStateBitIdenticalToSerial) {
   // The engine's core guarantee: for every seed and thread count, the
-  // parallel matcher's matches, work counters, and decision bitmaps are
-  // bit-identical to the serial MemoMatcher's.
+  // pooled matcher's matches, work counters, and decision bitmaps are
+  // bit-identical to the serial MemoMatcher's (check-cache-first off).
   for (const uint64_t seed : {5u, 23u, 41u}) {
     const MatchingFunction fn = Rules(8, seed);
-    MemoMatcher serial(MemoMatcher::Options{.check_cache_first = true});
+    MemoMatcher serial;
     MatchState want_state;
     const MatchResult want =
         serial.RunWithState(fn, ds_.candidates, *ctx_, want_state);
@@ -145,8 +139,10 @@ TEST_F(ParallelMatcherTest, RunWithStateBitIdenticalToSerial) {
     };
     for (const size_t threads : {2u, 3u, 8u}) {
       ThreadPool pool(threads);
-      ParallelMemoMatcher parallel(ParallelMemoMatcher::Options{
-          .check_cache_first = true, .pool = &pool});
+      // 64-pair blocks: 15 blocks over the 900 pairs, so every worker
+      // evaluates some.
+      BlockMatcher parallel(
+          BlockMatcher::Options{.block_size = 64, .pool = &pool});
       MatchState got_state;
       const MatchResult got =
           parallel.RunWithState(fn, ds_.candidates, *ctx_, got_state);
@@ -173,39 +169,13 @@ TEST_F(ParallelMatcherTest, RunWithStateBitIdenticalToSerial) {
   }
 }
 
-TEST_F(ParallelMatcherTest, PerWorkerStatsSumToTotalWithNoLoss) {
-  const MatchingFunction fn = Rules(8, 19);
-  MemoMatcher serial;
-  const MatchStats want = serial.Run(fn, ds_.candidates, *ctx_).stats;
-
-  std::vector<MatchStats> per_worker;
-  ThreadPool pool(4);
-  ParallelMemoMatcher parallel(ParallelMemoMatcher::Options{
-      .pool = &pool, .per_worker_stats = &per_worker});
-  const MatchResult result = parallel.Run(fn, ds_.candidates, *ctx_);
-
-  ASSERT_EQ(per_worker.size(), pool.num_workers());
-  MatchStats sum;
-  for (const MatchStats& s : per_worker) sum += s;
-  // Dynamic scheduling must not lose or double-count any worker's
-  // counters: the per-worker sum is the aggregate, which is exactly the
-  // serial matcher's work.
-  EXPECT_EQ(sum.rule_evaluations, result.stats.rule_evaluations);
-  EXPECT_EQ(sum.predicate_evaluations, result.stats.predicate_evaluations);
-  EXPECT_EQ(sum.feature_computations, result.stats.feature_computations);
-  EXPECT_EQ(sum.memo_hits, result.stats.memo_hits);
-  EXPECT_EQ(result.stats.rule_evaluations, want.rule_evaluations);
-  EXPECT_EQ(result.stats.predicate_evaluations, want.predicate_evaluations);
-  EXPECT_EQ(result.stats.feature_computations, want.feature_computations);
-  EXPECT_EQ(result.stats.memo_hits, want.memo_hits);
-}
-
 TEST_F(ParallelMatcherTest, StaticScheduleAgreesWithDynamic) {
   const MatchingFunction fn = Rules(8, 29);
   ThreadPool pool(4);
-  ParallelMemoMatcher dynamic(ParallelMemoMatcher::Options{.pool = &pool});
-  ParallelMemoMatcher static_sched(ParallelMemoMatcher::Options{
-      .pool = &pool, .dynamic_schedule = false});
+  BlockMatcher dynamic(
+      BlockMatcher::Options{.block_size = 64, .pool = &pool});
+  BlockMatcher static_sched(BlockMatcher::Options{
+      .block_size = 64, .pool = &pool, .dynamic_schedule = false});
   EXPECT_EQ(dynamic.Run(fn, ds_.candidates, *ctx_).matches,
             static_sched.Run(fn, ds_.candidates, *ctx_).matches);
 }
@@ -213,8 +183,8 @@ TEST_F(ParallelMatcherTest, StaticScheduleAgreesWithDynamic) {
 TEST_F(ParallelMatcherTest, RejectsHashMemoWhenMultithreaded) {
   const MatchingFunction fn = Rules(4, 31);
   HashMemo memo;
-  ParallelMemoMatcher parallel(
-      ParallelMemoMatcher::Options{.num_threads = 4});
+  ThreadPool pool(4);
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   const MatchResult r = parallel.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
@@ -222,8 +192,9 @@ TEST_F(ParallelMatcherTest, RejectsHashMemoWhenMultithreaded) {
   EXPECT_EQ(r.evaluated.Count(), 0u);
   EXPECT_EQ(memo.FilledCount(), 0u);
 
-  // The same memo is fine single-threaded (no concurrent Store).
-  ParallelMemoMatcher one(ParallelMemoMatcher::Options{.num_threads = 1});
+  // The same memo is fine on a one-worker pool (no concurrent Store).
+  ThreadPool one_worker(1);
+  BlockMatcher one(BlockMatcher::Options{.pool = &one_worker});
   const MatchResult ok = one.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
   EXPECT_FALSE(ok.partial);
   MemoMatcher serial;
@@ -237,7 +208,7 @@ TEST_F(ParallelMatcherTest, ShardedMemoAgreesWithSerialAndReusesValues) {
 
   ShardedMemo memo;
   ThreadPool pool(4);
-  ParallelMemoMatcher parallel(ParallelMemoMatcher::Options{.pool = &pool});
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   const MatchResult first =
       parallel.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
   ASSERT_FALSE(first.partial) << first.status.ToString();
@@ -254,13 +225,16 @@ TEST_F(ParallelMatcherTest, ShardedMemoAgreesWithSerialAndReusesValues) {
 }
 
 TEST_F(ParallelMatcherTest, CancelledRunReportsExactEvaluatedBitmap) {
-  // Mid-run cancellation under dynamic chunking: the partial result's
-  // `evaluated` bitmap must name exactly the pairs whose evaluation
-  // completed (a union of claimed chunks, not a prefix), and every
-  // evaluated pair's match bit must agree with an uncancelled run.
+  // Mid-run cancellation under dynamic block claiming: the partial
+  // result's `evaluated` bitmap must name exactly the pairs of the blocks
+  // whose evaluation completed (a union of claimed blocks, not a prefix),
+  // and every evaluated pair's match bit must agree with an uncancelled
+  // run.
   const MatchingFunction fn = Rules(10, 43);
   ThreadPool pool(4);
-  ParallelMemoMatcher parallel(ParallelMemoMatcher::Options{.pool = &pool});
+  constexpr size_t kBlock = 64;
+  BlockMatcher parallel(
+      BlockMatcher::Options{.block_size = kBlock, .pool = &pool});
   const Bitmap expected = parallel.Run(fn, ds_.candidates, *ctx_).matches;
 
   // Race a canceller thread against the run a few times; whenever the
@@ -279,6 +253,9 @@ TEST_F(ParallelMatcherTest, CancelledRunReportsExactEvaluatedBitmap) {
     EXPECT_EQ(r.evaluated.Count(), r.pairs_completed);
     EXPECT_LT(r.pairs_completed, n);
     for (size_t i = 0; i < n; ++i) {
+      // Blocks complete whole: a block's pairs are all evaluated or none.
+      const size_t first = i / kBlock * kBlock;
+      EXPECT_EQ(r.evaluated.Get(i), r.evaluated.Get(first)) << "pair " << i;
       if (r.evaluated.Get(i)) {
         EXPECT_EQ(r.matches.Get(i), expected.Get(i)) << "pair " << i;
       } else {
@@ -303,8 +280,8 @@ TEST_F(ParallelMatcherTest, PrewarmMakesContextReadOnly) {
   const MatchingFunction fn = Rules(10, 17);
   ctx_->Prewarm(fn.UsedFeatures());
   const size_t bytes_before = ctx_->IdCacheBytes();
-  ParallelMemoMatcher parallel(
-      ParallelMemoMatcher::Options{.num_threads = 4});
+  ThreadPool pool(4);
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   parallel.Run(fn, ds_.candidates, *ctx_);
   EXPECT_EQ(ctx_->IdCacheBytes(), bytes_before);
 }
@@ -343,6 +320,8 @@ TEST(ParallelBudgetSqueezeTest, RefusedBuildsAreNeverRetriedPerPair) {
 
   const std::vector<uint64_t> mask(bitspan::Words(kPairs), ~uint64_t{0});
   std::vector<float> out(kPairs);
+  ThreadPool pool(4);
+  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
   constexpr size_t kSteps = 24;
   for (size_t step = 0; step <= kSteps; ++step) {
     const size_t limit = std::max<size_t>(1, total * step / kSteps);
@@ -359,8 +338,6 @@ TEST(ParallelBudgetSqueezeTest, RefusedBuildsAreNeverRetriedPerPair) {
     MemoryBudget fresh_budget(limit, "squeeze");
     PairContext fresh(ds.a, ds.b, catalog,
                       PairContext::Options{.budget = &fresh_budget});
-    ParallelMemoMatcher parallel(
-        ParallelMemoMatcher::Options{.num_threads = 4});
     EXPECT_EQ(parallel.Run(*fn, pairs, fresh).matches, want)
         << "budget " << limit << " of " << total;
     EXPECT_LE(fresh.budget_denials(), features.size())

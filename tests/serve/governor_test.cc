@@ -421,5 +421,36 @@ TEST_F(GovernorTest, RetryingClientResumesADurableSessionAfterACrash) {
   EXPECT_EQ(rc->token(), token);
 }
 
+TEST_F(GovernorTest, RetryingClientAppliesAnEditOnceAfterAFailedJournalFsync) {
+  StartServer(BaseOptions());
+  RetryPolicy policy;
+  policy.initial_backoff_ms = 1;
+  policy.max_backoff_ms = 20;
+  policy.max_attempts = 8;
+  RetryingClient rc("127.0.0.1", server_->port(), policy);
+  ASSERT_TRUE(rc.Open(true).ok());
+  ASSERT_TRUE(rc.Call("add_rule r1: jaccard(title, title) >= 0.5").ok());
+  ASSERT_TRUE(rc.Call("run").ok());
+
+  // The next journal fsync fails after the record reached the file. The
+  // server answers IoError and degrades the session; the client resumes
+  // it from the journal and sends the edit again. The journal must not
+  // still hold the failed record, or the edit applies twice.
+  FaultInjection::Arm("journal.fsync", FaultInjection::Plan{});
+  Result<std::string> add =
+      rc.Call("add_rule r2: jaccard(brand, brand) >= 0.7");
+  EXPECT_EQ(FaultInjection::Failures("journal.fsync"), 1u);
+  FaultInjection::DisarmAll();
+  ASSERT_TRUE(add.ok()) << add.status().message();
+  EXPECT_GE(rc.retries(), 1u);
+
+  Result<std::string> rules = rc.Call("rules");
+  ASSERT_TRUE(rules.ok()) << rules.status().message();
+  EXPECT_NE(rules->find("rules=2"), std::string::npos) << *rules;
+  const size_t r2 = rules->find("r2:");
+  ASSERT_NE(r2, std::string::npos) << *rules;
+  EXPECT_EQ(rules->find("r2:", r2 + 1), std::string::npos) << *rules;
+}
+
 }  // namespace
 }  // namespace emdbg

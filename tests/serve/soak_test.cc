@@ -30,12 +30,15 @@ namespace {
 /// serial replay of that edit list on a fresh local session over the
 /// same shared corpus.
 ///
-/// A journal-fsync fault makes one edit *indeterminate* (the record may
-/// be on disk even though the client got an error). The client resolves
-/// the ambiguity the only honest way: recover, then compare the server's
-/// digest against BOTH candidates — replay(acked) and replay(acked +
-/// the in-doubt edit) — and adopt whichever matches. Matching neither is
-/// a lost or invented edit and fails the test.
+/// A connection that dies mid-call makes one edit *indeterminate* (the
+/// server may have applied and journaled it before the client saw an
+/// error). A journal-fsync fault does not: the journal truncates the
+/// failed record away, so that edit did not commit (unless the rollback
+/// fails too). The client resolves any ambiguity the only honest way:
+/// recover, then compare the server's digest against BOTH candidates —
+/// replay(acked) and replay(acked + the in-doubt edit) — and adopt
+/// whichever matches. Matching neither is a lost or invented edit and
+/// fails the test.
 class SoakTest : public ::testing::Test {
  protected:
   static constexpr int kSessions = 8;       // ISSUE floor: N >= 8
@@ -278,8 +281,9 @@ class SoakTest : public ::testing::Test {
       }
       switch (r.status().code()) {
         case StatusCode::kIoError: {
-          // Journal failure (session degraded, edit in doubt) or the
-          // connection died mid-call (ditto). Resolve via digest.
+          // Journal failure (session degraded; the edit was rolled back
+          // unless the rollback failed too) or the connection died
+          // mid-call (edit in doubt). Resolve via digest.
           client.Close();
           if (!Resync(client, token, applied, &cmd)) return false;
           if (!applied.empty() && applied.back() == cmd) return true;

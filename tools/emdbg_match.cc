@@ -8,18 +8,12 @@
 ///   emdbg_match --a=a.csv --b=b.csv --rules=r.rules
 ///               (--pairs=pairs.csv | --block-key=category)
 ///               [--out=matches.csv] [--threads=N] [--deadline-ms=N]
-///               [--block[=N] | --no-block]
 ///               [--shards[=N]] [--spill-dir=DIR] [--mem-budget=BYTES]
 ///
-/// Engine selection: by default the tool picks between classic per-pair
-/// early-exit evaluation and columnar block evaluation (one feature
-/// across a whole block of pairs, see src/core/block_matcher.h) from the
-/// match rate observed on the cost-model sample — a high rate means
-/// pairs survive deep into the rules and columnar amortization pays; a
-/// near-zero rate means per-pair early exit kills most pairs on their
-/// first predicate. --block (bare or =0 auto-sized, =N explicit) forces
-/// columnar; --no-block forces per-pair. Results are bit-identical in
-/// every mode.
+/// The run is columnar block evaluation (one feature across a whole block
+/// of pairs, see src/core/block_matcher.h), with a cost-model-sized block,
+/// in this thread or over a pool of --threads workers (0 = all hardware
+/// threads). Results are bit-identical for every thread count.
 ///
 /// --shards streams the run through the out-of-core sharded driver
 /// (src/core/shard_driver.h): the memo exists one shard at a time, so
@@ -42,9 +36,7 @@
 #include "src/block/key_blocker.h"
 #include "src/core/block_matcher.h"
 #include "src/core/cost_model.h"
-#include "src/core/memo_matcher.h"
 #include "src/core/ordering.h"
-#include "src/core/parallel_matcher.h"
 #include "src/core/rule_parser.h"
 #include "src/core/sampler.h"
 #include "src/core/shard_driver.h"
@@ -60,8 +52,6 @@ using namespace emdbg;
 
 namespace {
 
-enum class Engine { kAuto, kPerPair, kBlock };
-
 struct Args {
   std::string a_path;
   std::string b_path;
@@ -72,8 +62,6 @@ struct Args {
   std::string spill_dir;
   size_t threads = 1;
   int64_t deadline_ms = 0;  // 0 = no deadline
-  Engine engine = Engine::kAuto;
-  size_t block = 0;         // block size when engine == kBlock; 0 = auto
   bool sharded = false;
   size_t shard_pairs = 0;   // 0 = derive from budget
   size_t mem_budget = 0;    // 0 = unbudgeted
@@ -119,15 +107,6 @@ struct Args {
       } else if (StartsWith(arg, "--deadline-ms=") &&
                  ParseInt64(arg.substr(14), &n) && n > 0) {
         out->deadline_ms = n;
-      } else if (arg == "--block") {
-        out->engine = Engine::kBlock;
-        out->block = 0;  // bare flag = auto block size
-      } else if (StartsWith(arg, "--block=") &&
-                 ParseInt64(arg.substr(8), &n) && n >= 0) {
-        out->engine = Engine::kBlock;
-        out->block = static_cast<size_t>(n);
-      } else if (arg == "--no-block") {
-        out->engine = Engine::kPerPair;
       } else if (arg == "--shards") {
         out->sharded = true;
       } else if (StartsWith(arg, "--shards=") &&
@@ -158,7 +137,7 @@ int main(int argc, char** argv) {
         stderr,
         "usage: emdbg_match --a=a.csv --b=b.csv --rules=r.rules "
         "(--pairs=p.csv | --block-key=attr) [--out=matches.csv] "
-        "[--threads=N] [--deadline-ms=N] [--block[=N] | --no-block] "
+        "[--threads=N] [--deadline-ms=N] "
         "[--shards[=N]] [--spill-dir=DIR] [--mem-budget=BYTES]\n");
     return 1;
   }
@@ -218,25 +197,6 @@ int main(int argc, char** argv) {
   const CostModel model = CostModel::EstimateForFunction(*fn, ctx, sample);
   ApplyOrdering(*fn, OrderingStrategy::kGreedyReduction, model, nullptr);
 
-  // Engine auto-selection: the match rate on the cost-model sample, read
-  // from the feature values the model recorded there (no feature is
-  // computed again). Pairs that match survive every predicate of some
-  // rule — columnar per-feature evaluation amortizes that work; pairs that
-  // miss usually die on their first predicate — per-pair early exit skips
-  // the rest. A sample match rate >= 2% tips the balance to the block
-  // engine.
-  size_t block_size = 1;  // per-pair
-  if (args.engine == Engine::kBlock) {
-    block_size = args.block;
-  } else if (args.engine == Engine::kAuto && !sample.empty()) {
-    const double match_rate = model.SampleMatchRate(*fn);
-    const bool use_block = match_rate >= 0.02;
-    block_size = use_block ? 0 : 1;
-    std::printf("auto engine: %s (sample match rate %.1f%%)\n",
-                use_block ? "block (columnar)" : "per-pair",
-                match_rate * 100.0);
-  }
-
   // Ctrl-C, SIGTERM, and SIGHUP all trip the token; the matcher drains
   // and returns a partial result — written out below — instead of the
   // process dying mid-run with nothing on disk.
@@ -262,28 +222,16 @@ int main(int argc, char** argv) {
         .spill_dir = args.spill_dir,
         .budget = budget.get(),
         .pool = pool.get(),
-        .block_size = block_size,
         .cost_model = &model,
         .keep_state = !args.spill_dir.empty()});
     result = driver.Run(*fn, pairs, ctx, control);
     std::printf("sharded: %zu pairs/shard, %zu shards, %.1f MiB spilled\n",
                 driver.shard_pairs(), driver.shards().size(),
                 static_cast<double>(driver.spilled_bytes()) / (1u << 20));
-  } else if (pool != nullptr) {
-    ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-        .check_cache_first = true,
-        .pool = pool.get(),
-        .budget = budget.get(),
-        .block_size = block_size,
-        .cost_model = &model});
-    result = matcher.Run(*fn, pairs, ctx, control);
-  } else if (block_size != 1) {
-    BlockMatcher matcher(BlockMatcher::Options{.block_size = block_size,
-                                               .cost_model = &model,
-                                               .budget = budget.get()});
-    result = matcher.Run(*fn, pairs, ctx, control);
   } else {
-    MemoMatcher matcher(MemoMatcher::Options{.check_cache_first = true});
+    BlockMatcher matcher(BlockMatcher::Options{.cost_model = &model,
+                                               .budget = budget.get(),
+                                               .pool = pool.get()});
     result = matcher.Run(*fn, pairs, ctx, control);
   }
   std::printf("%zu matches in %.1f ms (%s)\n", result.MatchCount(),

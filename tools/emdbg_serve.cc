@@ -5,7 +5,7 @@
 ///
 /// Usage:
 ///   emdbg_serve --dataset=products [--scale=0.02] [--port=0]
-///               [--workers=2] [--session-threads=1] [--block[=N]]
+///               [--workers=2] [--session-threads=1]
 ///               [--max-sessions=64] [--max-queue=16] [--max-conns=128]
 ///               [--deadline-ms=0] [--checkpoint-every=16]
 ///               [--durability-root=DIR]
@@ -144,11 +144,6 @@ struct Args {
       } else if (StartsWith(arg, "--session-threads=") &&
                  ParseInt64(arg.substr(18), &n) && n >= 0) {
         out->server.session_threads = static_cast<size_t>(n);
-      } else if (arg == "--block") {
-        out->server.session_block_size = 0;  // bare flag = auto block size
-      } else if (StartsWith(arg, "--block=") &&
-                 ParseInt64(arg.substr(8), &n) && n >= 0) {
-        out->server.session_block_size = static_cast<size_t>(n);
       } else if (arg == "--sharded") {
         out->server.session_sharded = true;
       } else if (StartsWith(arg, "--shard-pairs=") &&
@@ -223,7 +218,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: emdbg_serve --dataset=NAME [--scale=F] [--seed=N] "
-        "[--port=N] [--workers=N] [--session-threads=N] [--block[=N]] "
+        "[--port=N] [--workers=N] [--session-threads=N] "
         "[--sharded] [--shard-pairs=N] "
         "[--max-sessions=N] "
         "[--max-queue=N] [--max-conns=N] [--deadline-ms=N] "
