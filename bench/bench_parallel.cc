@@ -24,9 +24,13 @@
 /// quality independently of how many cores this machine happens to have
 /// (on a single-core host, time-slicing makes every schedule's
 /// wall-clock identical, so the model is the only meaningful scheduling
-/// signal). Everything is also written as machine-readable JSON
-/// (BENCH_parallel.json, atomically via a .tmp rename) so the perf
-/// trajectory is recorded across PRs.
+/// signal). Before the timed rows, a fixed ALU spin loop runs on one
+/// thread and then on each thread count at once; the host's measured
+/// parallel capacity (N-thread over 1-thread throughput) is reported next
+/// to the speedups, because on a shared host it moves between processes
+/// and bounds every wall-clock speedup. Everything is also written as
+/// machine-readable JSON (BENCH_parallel.json, atomically via a .tmp
+/// rename) so the perf trajectory is recorded across PRs.
 
 #include <algorithm>
 #include <cstdio>
@@ -218,6 +222,56 @@ uint64_t SimulateMakespan(const std::vector<uint64_t>& cost, size_t workers,
   return *std::max_element(t.begin(), t.end());
 }
 
+/// One thread's share of the capacity calibration: a dependent chain of
+/// integer multiply-xorshift steps (no memory traffic, no shared data).
+uint64_t SpinLoop(uint64_t seed) {
+  constexpr uint64_t kSteps = 40'000'000;
+  uint64_t x = seed | 1;
+  for (uint64_t i = 0; i < kSteps; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    x ^= x >> 29;
+  }
+  return x;
+}
+
+/// Wall-clock ms for `threads` threads each running SpinLoop at once.
+double SpinMs(size_t threads) {
+  std::vector<uint64_t> sink(threads * 8, 0);  // a cache line per thread
+  std::vector<std::thread> pool;
+  Stopwatch timer;
+  for (size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&sink, t] { sink[t * 8] = SpinLoop(t + 1); });
+  }
+  for (std::thread& th : pool) th.join();
+  const double ms = timer.ElapsedMillis();
+  uint64_t all = 0;
+  for (const uint64_t v : sink) all ^= v;
+  if (all == 42) std::printf(" ");  // keep the loops' results alive
+  return ms;
+}
+
+/// The host's parallel capacity at each thread count: N x (1-thread spin
+/// time) / (N-thread spin time), the median over `reps` rounds (each
+/// round times 1 thread, then every count). 1.0 at one thread; N on a
+/// host that really runs N threads at once.
+std::vector<std::pair<size_t, double>> HostParallelCapacity(
+    const std::vector<size_t>& thread_counts, size_t reps) {
+  std::vector<std::vector<double>> ratios(thread_counts.size());
+  for (size_t rep = 0; rep < std::max<size_t>(3, reps); ++rep) {
+    const double one = SpinMs(1);
+    for (size_t k = 0; k < thread_counts.size(); ++k) {
+      const size_t n = thread_counts[k];
+      const double ms = n == 1 ? one : SpinMs(n);
+      ratios[k].push_back(static_cast<double>(n) * one / ms);
+    }
+  }
+  std::vector<std::pair<size_t, double>> out;
+  for (size_t k = 0; k < thread_counts.size(); ++k) {
+    out.emplace_back(thread_counts[k], Median(ratios[k]));
+  }
+  return out;
+}
+
 double HitRate(const MatchStats& s) {
   const size_t lookups = s.memo_hits + s.feature_computations;
   return lookups == 0 ? 0.0
@@ -227,6 +281,7 @@ double HitRate(const MatchStats& s) {
 
 void WriteJson(const BenchOptions& opts, const BenchEnv& env, size_t hw,
                size_t block,
+               const std::vector<std::pair<size_t, double>>& capacity,
                const std::vector<std::pair<std::string, Timing>>& serial,
                const std::vector<Point>& points, double improvement,
                double wallclock_improvement, double model_improvement,
@@ -264,6 +319,12 @@ void WriteJson(const BenchOptions& opts, const BenchEnv& env, size_t hw,
     // capable hardware retires the caveat without a manual edit.
     std::fprintf(f, "  \"wall_clock_unverified\": false,\n");
   }
+  std::fprintf(f, "  \"host_parallel_capacity\": {");
+  for (size_t i = 0; i < capacity.size(); ++i) {
+    std::fprintf(f, "%s\"%zu\": %.3f", i == 0 ? "" : ", ", capacity[i].first,
+                 capacity[i].second);
+  }
+  std::fprintf(f, "},\n");
   std::fprintf(f, "  \"serial_ms\": {");
   for (size_t i = 0; i < serial.size(); ++i) {
     const Timing& t = serial[i].second;
@@ -348,6 +409,16 @@ void Run(const BenchOptions& opts) {
                           hw) == thread_counts.end()) {
     thread_counts.push_back(hw);
   }
+
+  // Measured before the timed rows, on the same thread counts.
+  const std::vector<std::pair<size_t, double>> capacity =
+      HostParallelCapacity(thread_counts, opts.reps);
+  std::printf("host parallel capacity (spin loop, N-thread / 1-thread "
+              "throughput):");
+  for (const auto& [threads, c] : capacity) {
+    std::printf(" %zut=%.2f", threads, c);
+  }
+  std::printf("\n");
 
   const size_t block = BlockMatcher::ResolveBlockSize({}, fn);
   std::printf("blocks of %zu pairs\n", block);
@@ -450,7 +521,7 @@ void Run(const BenchOptions& opts) {
       skewed_dynamic_8t, skewed_static_8t, wallclock_improvement,
       model_improvement, use_model ? "model" : "wallclock");
 
-  WriteJson(opts, env, hw, block, serial_ms, points, improvement,
+  WriteJson(opts, env, hw, block, capacity, serial_ms, points, improvement,
             wallclock_improvement, model_improvement,
             use_model ? "makespan_model" : "wallclock",
             "BENCH_parallel.json");

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "src/util/bitmap.h"
@@ -34,19 +32,11 @@ void PassMaskImpl(const float* col, const uint64_t* active, size_t nb,
       const size_t lanes = std::min<size_t>(64, nb - wi * 64);
       const float* c = col + wi * 64;
       if (lanes == 64) {
-        // Two-phase sweep: the byte-compare loop has no loop-carried
-        // dependence (unlike bits |= cmp << j, whose serial OR + variable
-        // shift defeats vectorization), so the compiler can batch the
-        // widening compares; the bytes (each 0 or 1) are then packed
-        // eight at a time — the multiply gathers byte j's low bit into
-        // product bit 56 + j, carry-free for 0/1 bytes.
+        // Two-phase sweep: the byte compares vectorize, then the bytes
+        // pack into one word.
         uint8_t lane_pass[64];
         for (size_t j = 0; j < 64; ++j) lane_pass[j] = cmp(c[j]) ? 1 : 0;
-        for (size_t k = 0; k < 8; ++k) {
-          uint64_t w;
-          std::memcpy(&w, lane_pass + k * 8, sizeof(w));
-          bits |= ((w * 0x0102040810204080ULL) >> 56) << (k * 8);
-        }
+        bits = bitspan::PackBytes64(lane_pass);
       } else {
         for (size_t j = 0; j < lanes; ++j) {
           bits |= static_cast<uint64_t>(cmp(c[j])) << j;
@@ -139,8 +129,7 @@ BlockEvaluator::BlockEvaluator(const MatchingFunction& fn,
 size_t BlockEvaluator::ScratchBytes() const {
   const size_t slots = slot_features_.size();
   return slots * block_size_ * sizeof(float) +
-         (2 * slots * words_ + 4 * words_ + slots) * sizeof(uint64_t) +
-         2 * slots;
+         (2 * slots * words_ + 4 * words_) * sizeof(uint64_t) + slots;
 }
 
 void BlockEvaluator::InitScratch(Scratch& s) const {
@@ -148,42 +137,6 @@ void BlockEvaluator::InitScratch(Scratch& s) const {
   s.cols.assign(slots * block_size_, 0.0f);
   s.bits.assign(2 * slots * words_ + 4 * words_, 0);
   s.touched.assign(slots, 0);
-  s.used.assign(slots, 0);
-  s.masks.assign(slots, 0);
-  s.last_used = static_cast<size_t>(-1);
-}
-
-void BlockEvaluator::TransposeBlock(size_t base, size_t nb,
-                                    Scratch& s) const {
-  const size_t slots = slot_features_.size();
-  const size_t nw = bitspan::Words(nb);
-  float* cols = s.cols.data();
-  uint64_t* filled_base = s.bits.data();
-  uint64_t* dirty_base = filled_base + slots * words_;
-  uint64_t* masks = s.masks.data();
-  for (size_t wi = 0; wi < nw; ++wi) {
-    const size_t lanes = std::min<size_t>(64, nb - wi * 64);
-    std::fill(masks, masks + slots, 0);
-    for (size_t j = 0; j < lanes; ++j) {
-      const size_t i = wi * 64 + j;
-      // One contiguous row read per pair; the column writes for 64
-      // consecutive lanes share one cache line per slot, so the working
-      // set of this tile is `slots` lines plus the row.
-      const float* row = dense_->RowView(base + i);
-      for (size_t sl = 0; sl < slots; ++sl) {
-        const float v = row[slot_features_[sl]];
-        cols[sl * block_size_ + i] = v;
-        masks[sl] |= static_cast<uint64_t>(!std::isnan(v)) << j;
-      }
-    }
-    for (size_t sl = 0; sl < slots; ++sl) {
-      filled_base[sl * words_ + wi] = masks[sl];
-    }
-  }
-  for (size_t sl = 0; sl < slots; ++sl) {
-    bitspan::Fill(dirty_base + sl * words_, nb, false);
-    s.touched[sl] = 1;
-  }
 }
 
 void BlockEvaluator::GatherSlot(uint32_t slot, FeatureId feature,
@@ -229,24 +182,7 @@ void BlockEvaluator::EvalBlock(size_t b, Bitmap& matches, MatchStats& stats,
   uint64_t* tmp = pass + words_;
 
   std::fill(s.touched.begin(), s.touched.end(), 0);
-  std::fill(s.used.begin(), s.used.end(), 0);
-  size_t used = 0;
   bitspan::Fill(undecided, nb, true);
-
-  // Dense memo: a single streaming transpose of the block's rows reads
-  // each memo cache line once, where lazy GatherSlot pays one strided
-  // walk (one line per lane) per touched feature. Transposing every slot
-  // is wasted work when early exit leaves most slots unread, so the
-  // previous block's distinct-slots-read count decides. The first strided
-  // walk makes the block's memo submatrix L2-resident, so later gathers
-  // cost far less than a cold miss per lane (~16 bytes effective, not
-  // 64): transpose only when most slots will be read — gather traffic
-  // (~16 bytes per lane per slot) above the transpose stream (the row
-  // once plus 4 bytes per lane per slot).
-  if (dense_ != nullptr && s.last_used != static_cast<size_t>(-1) &&
-      s.last_used * 4 >= slots + dense_->num_features()) {
-    TransposeBlock(base, nb, s);
-  }
 
   for (const RuleSlot& rule : rules_) {
     const size_t live = bitspan::Count(undecided, nb);
@@ -259,10 +195,6 @@ void BlockEvaluator::EvalBlock(size_t b, Bitmap& matches, MatchStats& stats,
       if (entering == 0) break;  // the whole block failed earlier preds
       stats.predicate_evaluations += entering;
 
-      if (s.used[p.slot] == 0) {
-        s.used[p.slot] = 1;
-        ++used;
-      }
       if (s.touched[p.slot] == 0) GatherSlot(p.slot, p.feature, base, nb, s);
       uint64_t* filled = filled_base + p.slot * words_;
       float* col = s.cols.data() + p.slot * block_size_;
@@ -304,10 +236,9 @@ void BlockEvaluator::EvalBlock(size_t b, Bitmap& matches, MatchStats& stats,
       bitspan::AndNot(undecided, active, nb);
     }
   }
-  s.last_used = used;
 
   // Bulk-scatter every column this block computed back into the memo —
-  // one cache-blocked FillSpan per touched feature instead of a virtual
+  // one contiguous FillSpan per touched feature instead of a virtual
   // Store per (pair, feature).
   if (memo_ != nullptr) {
     for (uint32_t slot = 0; slot < slots; ++slot) {
@@ -318,17 +249,10 @@ void BlockEvaluator::EvalBlock(size_t b, Bitmap& matches, MatchStats& stats,
       if (dense_ != nullptr) {
         dense_->FillSpan(base, nb, slot_features_[slot], col, dirty);
       } else {
-        for (size_t wi = 0; wi < nw; ++wi) {
-          uint64_t m = wi + 1 == nw ? dirty[wi] & bitspan::TailMask(nb)
-                                    : dirty[wi];
-          while (m != 0) {
-            const size_t i =
-                wi * 64 + static_cast<size_t>(std::countr_zero(m));
-            m &= m - 1;
-            memo_->Store(base + i, slot_features_[slot],
-                         static_cast<double>(col[i]));
-          }
-        }
+        bitspan::ForEachSet(dirty, nb, [&](size_t i) {
+          memo_->Store(base + i, slot_features_[slot],
+                       static_cast<double>(col[i]));
+        });
       }
     }
   }
@@ -382,10 +306,10 @@ MatchResult BlockMatcher::RunWithState(const MatchingFunction& fn,
 size_t BlockMatcher::AutoBlockSize(const MatchingFunction& fn,
                                    const CostModel* model) {
   // Fit the block's score columns (one float span per used feature) in
-  // half of a ~256 KB L2, leaving the other half for the memo submatrix
-  // the block streams (rows of all catalog features, read by the
-  // transpose or by the first lazy gather) — columns and memo rows
-  // compete for the same cache during warm runs.
+  // half of a ~256 KB L2, leaving the other half for the memo column
+  // spans they are gathered from and scattered back to — the same
+  // 4 bytes per lane per used feature, read once by the gather and
+  // written by FillSpan while still cached.
   constexpr size_t kColumnBudgetBytes = 128 * 1024;
   const size_t nf = std::max<size_t>(1, fn.UsedFeatures().size());
   size_t b = kColumnBudgetBytes / (nf * sizeof(float));

@@ -36,7 +36,7 @@ namespace emdbg {
 ///         combine: active &= pass
 ///       matches |= active; undecided &= ~active   // bitmap DNF
 ///     scatter the computed columns back to the memo (DenseMemo::
-///     FillSpan), one cache-blocked bulk store per touched feature
+///     FillSpan), one contiguous bulk store per touched feature
 ///
 /// Early exit survives at block granularity: a rule or predicate whose
 /// `active` mask drains to zero is skipped for the rest of the block, and
@@ -61,12 +61,6 @@ class BlockEvaluator {
     std::vector<float> cols;
     std::vector<uint64_t> bits;
     std::vector<uint8_t> touched;
-    std::vector<uint8_t> used;    ///< slots referenced by live predicates
-    std::vector<uint64_t> masks;  ///< per-slot accumulator for transpose
-    /// Distinct slots the previous block's predicates actually read —
-    /// the predictor for the transpose-vs-lazy-gather decision (blocks
-    /// of one run are statistically alike). SIZE_MAX = no block yet.
-    size_t last_used = static_cast<size_t>(-1);
   };
 
   /// `memo` may be null: the engine then evaluates with block-local
@@ -116,15 +110,11 @@ class BlockEvaluator {
     Bitmap* rule_true;  ///< null when no state is attached
   };
 
+  /// Loads slot `slot`'s column for the block on its first use: one
+  /// sequential read of the dense memo's feature column, probes of any
+  /// other memo, or all lanes absent without one.
   void GatherSlot(uint32_t slot, FeatureId feature, size_t base, size_t nb,
                   Scratch& s) const;
-
-  /// Dense-memo fast path: gathers *every* slot's column for the block in
-  /// one streaming pass over the memo's pair-major rows (a cache-blocked
-  /// transpose), instead of one strided walk per slot. Each memo cache
-  /// line is read once per block rather than once per feature, which is
-  /// what makes warm (all-memoized) runs faster than the per-pair loop.
-  void TransposeBlock(size_t base, size_t nb, Scratch& s) const;
 
   const CandidateSet& pairs_;
   PairContext& ctx_;
@@ -212,7 +202,7 @@ class BlockMatcher final : public Matcher {
   const char* name() const override { return "DM+EE(block)"; }
 
   /// Cost-model-driven block-size default: fits the per-block feature
-  /// columns (4 bytes × used features) into a ~256 KB L2 working set,
+  /// columns (4 bytes × used features) into half of a ~256 KB L2,
   /// clamped to [256, 4096]. A supplied model refines the choice:
   /// expensive measured features shrink the block (compute dominates;
   /// smaller blocks tighten cancellation latency), very cheap ones grow

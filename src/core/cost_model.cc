@@ -40,20 +40,22 @@ void CostModel::EnsureFeature(FeatureId feature, PairContext& ctx) {
 
 void CostModel::MeasureLookupCost() {
   // Time dense-memo lookups over a small matrix; this is δ in the model.
+  // The probes walk each feature column in order, a sequential read like
+  // the columns the engines gather.
   constexpr size_t kPairs = 256;
   constexpr size_t kFeatures = 8;
   constexpr size_t kRounds = 40;
   DenseMemo memo(kPairs, kFeatures);
-  for (size_t p = 0; p < kPairs; ++p) {
-    for (size_t f = 0; f < kFeatures; ++f) {
-      memo.Store(p, f, 0.5);
+  for (size_t f = 0; f < kFeatures; ++f) {
+    for (size_t p = 0; p < kPairs; ++p) {
+      memo.Store(p, static_cast<FeatureId>(f), 0.5);
     }
   }
   double sink = 0.0;
   Stopwatch timer;
   for (size_t round = 0; round < kRounds; ++round) {
-    for (size_t p = 0; p < kPairs; ++p) {
-      for (size_t f = 0; f < kFeatures; ++f) {
+    for (size_t f = 0; f < kFeatures; ++f) {
+      for (size_t p = 0; p < kPairs; ++p) {
         double v = 0.0;
         memo.Lookup(p, static_cast<FeatureId>(f), &v);
         sink += v;

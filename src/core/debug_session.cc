@@ -402,6 +402,7 @@ DebugSession::MemoryFootprint DebugSession::Footprint() const {
   fp.id_cache_bytes = ctx_->IdCacheBytes();
   fp.interner_bytes =
       ctx_->interner().ArenaBytes() + ctx_->interner().DictionaryBytes();
+  fp.edit_log_bytes = log_.MemoryBytes();
   return fp;
 }
 

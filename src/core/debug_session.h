@@ -79,8 +79,9 @@ class DebugSession {
     size_t token_cache_bytes = 0;
     size_t id_cache_bytes = 0;     ///< interned-id columns + weight rows
     size_t interner_bytes = 0;     ///< dictionary + arena
+    size_t edit_log_bytes = 0;     ///< undo history (EditLog::MemoryBytes)
     size_t total() const {
-      return memo_bytes + id_cache_bytes + interner_bytes;
+      return memo_bytes + id_cache_bytes + interner_bytes + edit_log_bytes;
     }
   };
 

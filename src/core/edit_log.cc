@@ -312,6 +312,24 @@ Result<MatchStats> EditLog::SetThreshold(IncrementalMatcher& inc,
   return stats;
 }
 
+size_t EditLog::MemoryBytes() const {
+  // A string's heap buffer exists only past the small-string capacity.
+  const size_t inline_chars = std::string().capacity();
+  size_t bytes = entries_.size() * sizeof(Entry);
+  for (const Entry& e : entries_) {
+    const Rule& r = e.rule_snapshot;
+    bytes += r.predicates().capacity() * sizeof(Predicate);
+    if (r.name().capacity() > inline_chars) bytes += r.name().capacity() + 1;
+  }
+  // Hash nodes hold the pair and a next pointer; buckets are pointers.
+  const auto map_bytes = [](const auto& map) {
+    using Node = typename std::decay_t<decltype(map)>::value_type;
+    return map.size() * (sizeof(Node) + sizeof(void*)) +
+           map.bucket_count() * sizeof(void*);
+  };
+  return bytes + map_bytes(rule_remap_) + map_bytes(predicate_remap_);
+}
+
 Result<MatchStats> EditLog::Undo(IncrementalMatcher& inc) {
   if (entries_.empty()) {
     return Status::FailedPrecondition("edit history is empty");

@@ -120,6 +120,12 @@ class EditLog {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
+  /// Approximate heap bytes of the recorded history: its entries with
+  /// their rule snapshots, and the id remap tables. Every post-run edit
+  /// adds an entry (Undo removes one), and nothing bounds or bills them,
+  /// so a long-lived session grows with its edit count.
+  size_t MemoryBytes() const;
+
   /// Human-readable history, most recent last.
   std::string Describe(const FeatureCatalog& catalog) const;
 

@@ -16,20 +16,6 @@ namespace {
 /// waking the workers: one 64-lane word cannot be split.
 constexpr size_t kMinPooledLanes = 128;
 
-/// Calls fn(i) for every set lane of a gathered mask over [0, n).
-template <typename Fn>
-void ForEachLane(const uint64_t* mask, size_t n, Fn&& fn) {
-  const size_t words = bitspan::Words(n);
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t m =
-        w + 1 == words ? mask[w] & bitspan::TailMask(n) : mask[w];
-    while (m != 0) {
-      fn(w * 64 + static_cast<size_t>(std::countr_zero(m)));
-      m &= m - 1;
-    }
-  }
-}
-
 }  // namespace
 
 IncrementalMatcher::IncrementalMatcher(PairContext& ctx,
@@ -107,19 +93,10 @@ void IncrementalMatcher::AcquireFeatureGathered(
     FeatureId f, const std::vector<uint32_t>& idx, MatchStats& stats) {
   const size_t n = idx.size();
   const size_t words = bitspan::Words(n);
-  std::fill(need_.begin(), need_.begin() + words, 0);
-  const DenseMemo& memo = state_.memo();
-  size_t missing = 0;
-  ForEachLane(active_.data(), n, [&](size_t i) {
-    double v = 0.0;
-    if (memo.Lookup(idx[i], f, &v)) {
-      col_[i] = static_cast<float>(v);
-      ++stats.memo_hits;
-    } else {
-      need_[i >> 6] |= uint64_t{1} << (i & 63);
-      ++missing;
-    }
-  });
+  DenseMemo& memo = state_.memo();
+  stats.memo_hits += memo.LookupLanes(f, idx.data(), n, active_.data(),
+                                      col_.data(), need_.data());
+  const size_t missing = bitspan::Count(need_.data(), n);
   if (missing == 0) return;
   ThreadPool* pool = options_.pool;
   if (pool != nullptr && pool->num_workers() > 1 &&
@@ -140,10 +117,7 @@ void IncrementalMatcher::AcquireFeatureGathered(
     ctx_.ComputeFeatureBlock(f, gathered_.data(), n, need_.data(),
                              col_.data());
   }
-  DenseMemo& store = state_.memo();
-  ForEachLane(need_.data(), n, [&](size_t i) {
-    store.Store(idx[i], f, static_cast<double>(col_[i]));
-  });
+  memo.StoreLanes(f, idx.data(), n, col_.data(), need_.data());
   stats.feature_computations += missing;
 }
 
@@ -160,9 +134,9 @@ void IncrementalMatcher::EvalRuleGathered(const Rule& r,
     stats.predicate_evaluations += entering;
     AcquireFeatureGathered(p.feature, idx, stats);
     Bitmap& pf = state_.PredFalse(p.id);
-    // ForEachLane snapshots each word before walking it, so clearing a
+    // ForEachSet reads each word before walking it, so clearing a
     // failing lane from `active` mid-walk is safe.
-    ForEachLane(active, n, [&](size_t i) {
+    bitspan::ForEachSet(active, n, [&](size_t i) {
       if (p.Test(static_cast<double>(col_[i]))) {
         pf.Clear(idx[i]);  // keep I3 tight: the predicate passes now
       } else {

@@ -146,9 +146,10 @@ class IncrementalMatcher {
   void GatherLanes(const std::vector<uint32_t>& idx);
 
   /// Memoized acquisition of feature `f` for every active lane of the
-  /// gathered `idx`: probes the memo per lane, computes the misses in one
-  /// ComputeFeatureBlock (over the pool in 64-lane words when there is
-  /// one), and stores them. col_[i] receives each active lane's value.
+  /// gathered `idx`: one gathered memo lookup over the lanes, the misses
+  /// computed in one ComputeFeatureBlock (over the pool in 64-lane words
+  /// when there is one), and one gathered store of them. col_[i]
+  /// receives each active lane's value.
   void AcquireFeatureGathered(FeatureId f, const std::vector<uint32_t>& idx,
                               MatchStats& stats);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <limits>
 #include <mutex>
 
@@ -9,71 +10,125 @@
 
 namespace emdbg {
 
+namespace {
+
+constexpr float kAbsent = std::numeric_limits<float>::quiet_NaN();
+
+/// Bit j set iff vals[j] holds a value (is not NaN), for j < lanes <= 64.
+uint64_t PresentBits(const float* vals, size_t lanes) {
+  uint8_t present[64] = {};
+  for (size_t j = 0; j < lanes; ++j) present[j] = !std::isnan(vals[j]);
+  return bitspan::PackBytes64(present);
+}
+
+}  // namespace
+
 DenseMemo::DenseMemo(size_t num_pairs, size_t num_features)
-    : num_pairs_(num_pairs),
-      num_features_(num_features),
-      data_(num_pairs * num_features,
-            std::numeric_limits<float>::quiet_NaN()) {}
+    : num_pairs_(num_pairs) {
+  GrowFeatures(num_features);
+}
 
 void DenseMemo::Clear() {
-  std::fill(data_.begin(), data_.end(),
-            std::numeric_limits<float>::quiet_NaN());
+  for (float* col : cols_) std::fill(col, col + num_pairs_, kAbsent);
   filled_ = 0;
 }
 
 void DenseMemo::GrowFeatures(size_t num_features) {
-  if (num_features <= num_features_) return;
-  std::vector<float> grown(num_pairs_ * num_features,
-                           std::numeric_limits<float>::quiet_NaN());
-  for (size_t p = 0; p < num_pairs_; ++p) {
-    for (size_t f = 0; f < num_features_; ++f) {
-      grown[p * num_features + f] = data_[p * num_features_ + f];
-    }
+  if (num_features <= cols_.size()) return;
+  const size_t added = num_features - cols_.size();
+  std::unique_ptr<float[]> buffer(new float[added * num_pairs_]);
+  std::fill(buffer.get(), buffer.get() + added * num_pairs_, kAbsent);
+  for (size_t k = 0; k < added; ++k) {
+    cols_.push_back(buffer.get() + k * num_pairs_);
   }
-  data_ = std::move(grown);
-  num_features_ = num_features;
+  buffers_.push_back(std::move(buffer));
 }
 
 void DenseMemo::GatherColumn(size_t row, size_t n, FeatureId feature,
                              float* out, uint64_t* present) const {
-  bitspan::Fill(present, n, false);
-  const float* cell = &data_[row * num_features_ + feature];
-  for (size_t i = 0; i < n; ++i, cell += num_features_) {
-    const float v = *cell;
-    out[i] = v;
-    if (!std::isnan(v)) present[i >> 6] |= uint64_t{1} << (i & 63);
+  std::memcpy(out, cols_[feature] + row, n * sizeof(float));
+  for (size_t wi = 0; wi < bitspan::Words(n); ++wi) {
+    present[wi] =
+        PresentBits(out + wi * 64, std::min<size_t>(64, n - wi * 64));
   }
 }
 
 void DenseMemo::FillSpan(size_t row, size_t n, FeatureId feature,
                          const float* vals, const uint64_t* mask) {
-  float* cell = &data_[row * num_features_ + feature];
+  float* cell = cols_[feature] + row;
   size_t newly_filled = 0;
-  for (size_t wi = 0; wi < bitspan::Words(n); ++wi) {
-    uint64_t m = wi + 1 == bitspan::Words(n)
-                     ? mask[wi] & bitspan::TailMask(n)
-                     : mask[wi];
-    while (m != 0) {
-      const size_t i = wi * 64 + static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      float& slot = cell[i * num_features_];
-      if (std::isnan(slot)) ++newly_filled;
-      slot = vals[i];
-    }
-  }
+  bitspan::ForEachSet(mask, n, [&](size_t i) {
+    newly_filled += std::isnan(cell[i]);
+    cell[i] = vals[i];
+  });
   if (newly_filled > 0) {
     filled_.fetch_add(newly_filled, std::memory_order_relaxed);
   }
 }
 
-Status DenseMemo::LoadRawValues(const std::vector<float>& values) {
-  if (values.size() != num_pairs_ * num_features_) {
+size_t DenseMemo::LookupLanes(FeatureId feature, const uint32_t* rows,
+                              size_t n, const uint64_t* lanes, float* out,
+                              uint64_t* missing) const {
+  const float* col = cols_[feature];
+  size_t hits = 0;
+  for (size_t wi = 0; wi < bitspan::Words(n); ++wi) {
+    const uint64_t want =
+        wi + 1 == bitspan::Words(n) ? lanes[wi] & bitspan::TailMask(n)
+                                    : lanes[wi];
+    if (want == 0) {
+      missing[wi] = 0;
+      continue;
+    }
+    // Read every lane of a live word: a branch-free sweep beats walking
+    // the set bits once a word is more than sparsely populated, and an
+    // edit's lane words are mostly full.
+    const size_t base = wi * 64;
+    const size_t lanes_here = std::min<size_t>(64, n - base);
+    for (size_t j = 0; j < lanes_here; ++j) out[base + j] = col[rows[base + j]];
+    const uint64_t present = PresentBits(out + base, lanes_here);
+    missing[wi] = want & ~present;
+    hits += static_cast<size_t>(std::popcount(want & present));
+  }
+  return hits;
+}
+
+void DenseMemo::StoreLanes(FeatureId feature, const uint32_t* rows, size_t n,
+                           const float* vals, const uint64_t* mask) {
+  float* col = cols_[feature];
+  size_t newly_filled = 0;
+  bitspan::ForEachSet(mask, n, [&](size_t i) {
+    float& slot = col[rows[i]];
+    newly_filled += std::isnan(slot);
+    slot = vals[i];
+  });
+  if (newly_filled > 0) {
+    filled_.fetch_add(newly_filled, std::memory_order_relaxed);
+  }
+}
+
+void DenseMemo::WriteRawValues(char* out) const {
+  const size_t nf = cols_.size();
+  for (size_t p = 0; p < num_pairs_; ++p) {
+    for (size_t f = 0; f < nf; ++f, out += sizeof(float)) {
+      std::memcpy(out, &cols_[f][p], sizeof(float));
+    }
+  }
+}
+
+Status DenseMemo::LoadRawValues(std::string_view pair_major) {
+  const size_t nf = cols_.size();
+  if (pair_major.size() != num_pairs_ * nf * sizeof(float)) {
     return Status::InvalidArgument("value count mismatch for memo shape");
   }
-  data_ = values;
+  const char* in = pair_major.data();
   size_t filled = 0;
-  for (const float v : data_) {
-    if (!std::isnan(v)) ++filled;
+  for (size_t p = 0; p < num_pairs_; ++p) {
+    for (size_t f = 0; f < nf; ++f, in += sizeof(float)) {
+      float v;
+      std::memcpy(&v, in, sizeof(float));
+      cols_[f][p] = v;
+      filled += !std::isnan(v);
+    }
   }
   filled_.store(filled, std::memory_order_relaxed);
   return Status::Ok();

@@ -1,12 +1,12 @@
 #include "src/core/pair_context.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <span>
 #include <string>
 
 #include "src/text/similarity_registry.h"
+#include "src/text/soundex.h"
 #include "src/util/bitmap.h"
 
 namespace emdbg {
@@ -79,6 +79,7 @@ PairContext::PairContext(const Table& a, const Table& b,
     idc.word_docs.resize(attrs);
     idc.words.resize(attrs);
     idc.qgrams.resize(attrs);
+    idc.soundex.resize(attrs);
     idc.tf_built.assign(attrs, false);
   }
 }
@@ -135,23 +136,42 @@ bool PairContext::Degrade() {
   return false;
 }
 
-bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
+PairContext::SetKind PairContext::SetKindOf(SimFunction fn) {
+  if (fn == SimFunction::kSoundex) return SetKind::kSoundex;
+  return GetSimFunctionInfo(fn).tokens == TokenNeed::kQGram3 ? SetKind::kQGrams
+                                                             : SetKind::kWords;
+}
+
+IdColumn* PairContext::SetSlot(IdCache& idc, AttrIndex attr, SetKind kind) {
+  switch (kind) {
+    case SetKind::kQGrams:
+      return &idc.qgrams[attr];
+    case SetKind::kSoundex:
+      return &idc.soundex[attr];
+    case SetKind::kWords:
+      break;
+  }
+  return &idc.words[attr];
+}
+
+bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, SetKind kind,
                                 ThreadPool* pool) {
   IdCache& idc = table_b ? idc_b_ : idc_a_;
-  IdColumn& set = (qgrams ? idc.qgrams : idc.words)[attr];
+  IdColumn& set = *SetSlot(idc, attr, kind);
   if (set.built()) return true;
   if (id_degraded_.load(std::memory_order_relaxed)) return false;
   const Table& table = table_b ? b_ : a_;
   const uint32_t rows = table.num_rows();
+  const bool words = kind == SetKind::kWords;
   IdColumn& docs = idc.word_docs[attr];
   // Abandons a half-built column so billing and columns stay consistent.
   auto abandon = [&]() {
     set = IdColumn{};
-    if (!qgrams) docs = IdColumn{};
+    if (words) docs = IdColumn{};
     return Degrade();
   };
   bool ok = false;
-  if (qgrams) {
+  if (kind == SetKind::kQGrams) {
     // Rows share no state: codes come straight from each row's bytes.
     ok = BuildSortedRows(
         rows, pool,
@@ -160,6 +180,16 @@ bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
         },
         [&](uint32_t row, TokenId* out) {
           return SortedQGramCodes(table.Value(row, attr), out);
+        },
+        set);
+  } else if (kind == SetKind::kSoundex) {
+    ok = BuildSortedRows(
+        rows, pool,
+        [&](uint32_t row) {
+          return SoundexCodeCapacity(table.Value(row, attr));
+        },
+        [&](uint32_t row, TokenId* out) {
+          return SortedSoundexCodes(table.Value(row, attr), out);
         },
         set);
   } else {
@@ -191,7 +221,7 @@ bool PairContext::BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
   // drop the column and degrade: the string kernels take over with
   // identical values.
   size_t bytes = TakeInternerGrowth() + set.Bytes();
-  if (!qgrams) bytes += docs.Bytes();
+  if (words) bytes += docs.Bytes();
   if (!BillBytes(bytes)) return abandon();
   return true;
 }
@@ -201,7 +231,7 @@ bool PairContext::BuildTfColumn(bool table_b, AttrIndex attr,
   IdCache& idc = table_b ? idc_b_ : idc_a_;
   if (idc.tf_built[attr]) return true;
   if (id_degraded_.load(std::memory_order_relaxed)) return false;
-  if (!BuildIdColumn(table_b, attr, /*qgrams=*/false, pool)) return false;
+  if (!BuildIdColumn(table_b, attr, SetKind::kWords, pool)) return false;
   const Table& table = table_b ? b_ : a_;
   const uint32_t rows = table.num_rows();
   if (idc.word_tf.empty()) {
@@ -290,10 +320,9 @@ const std::vector<double>* PairContext::IdfById(AttrIndex attr_a,
 }
 
 const IdColumn* PairContext::SetColumn(bool table_b, AttrIndex attr,
-                                       bool qgrams) {
-  if (!BuildIdColumn(table_b, attr, qgrams, nullptr)) return nullptr;
-  IdCache& idc = table_b ? idc_b_ : idc_a_;
-  return &(qgrams ? idc.qgrams : idc.words)[attr];
+                                       SetKind kind) {
+  if (!BuildIdColumn(table_b, attr, kind, nullptr)) return nullptr;
+  return SetSlot(table_b ? idc_b_ : idc_a_, attr, kind);
 }
 
 void PairContext::Prewarm(const std::vector<FeatureId>& features,
@@ -306,9 +335,9 @@ void PairContext::Prewarm(const std::vector<FeatureId>& features,
     const Feature& feature = catalog_.feature(f);
     const SimFunctionInfo& info = GetSimFunctionInfo(feature.fn);
     if (!info.id_path) continue;
-    const bool qgrams = info.tokens == TokenNeed::kQGram3;
-    BuildIdColumn(false, feature.attr_a, qgrams, pool);
-    BuildIdColumn(true, feature.attr_b, qgrams, pool);
+    const SetKind kind = SetKindOf(feature.fn);
+    BuildIdColumn(false, feature.attr_a, kind, pool);
+    BuildIdColumn(true, feature.attr_b, kind, pool);
     if (feature.fn == SimFunction::kCosine) {
       BuildTfColumn(false, feature.attr_a, pool);
       BuildTfColumn(true, feature.attr_b, pool);
@@ -320,17 +349,17 @@ void PairContext::Prewarm(const std::vector<FeatureId>& features,
   }
 }
 
-bool PairContext::TryComputeFeatureIds(const Feature& feature,
-                                       const SimFunctionInfo& info,
-                                       PairId pair, double* value) {
+bool PairContext::TryComputeFeatureIds(const Feature& feature, PairId pair,
+                                       double* value) {
   switch (feature.fn) {
     case SimFunction::kJaccard:
     case SimFunction::kDice:
     case SimFunction::kOverlap:
-    case SimFunction::kTrigram: {
-      const bool qgrams = info.tokens == TokenNeed::kQGram3;
-      const IdColumn* ca = SetColumn(false, feature.attr_a, qgrams);
-      const IdColumn* cb = SetColumn(true, feature.attr_b, qgrams);
+    case SimFunction::kTrigram:
+    case SimFunction::kSoundex: {
+      const SetKind kind = SetKindOf(feature.fn);
+      const IdColumn* ca = SetColumn(false, feature.attr_a, kind);
+      const IdColumn* cb = SetColumn(true, feature.attr_b, kind);
       if (ca == nullptr || cb == nullptr) return false;
       const std::span<const TokenId> ia = ca->Row(pair.a);
       const std::span<const TokenId> ib = cb->Row(pair.b);
@@ -341,7 +370,7 @@ bool PairContext::TryComputeFeatureIds(const Feature& feature,
         case SimFunction::kOverlap:
           *value = IdOverlap(ia, ib);
           return true;
-        default:  // Jaccard and Trigram (= Jaccard over 3-grams)
+        default:  // Jaccard, and Trigram and Soundex (Jaccard over codes)
           *value = IdJaccard(ia, ib);
           return true;
       }
@@ -359,8 +388,8 @@ bool PairContext::TryComputeFeatureIds(const Feature& feature,
       return true;
     }
     case SimFunction::kMongeElkan: {
-      const IdColumn* ca = SetColumn(false, feature.attr_a, false);
-      const IdColumn* cb = SetColumn(true, feature.attr_b, false);
+      const IdColumn* ca = SetColumn(false, feature.attr_a, SetKind::kWords);
+      const IdColumn* cb = SetColumn(true, feature.attr_b, SetKind::kWords);
       if (ca == nullptr || cb == nullptr) return false;
       *value = IdMongeElkan(idc_a_.word_docs[feature.attr_a].Row(pair.a),
                             ca->Row(pair.a),
@@ -397,7 +426,7 @@ double PairContext::ComputeFeatureValue(const Feature& feature,
   // (otherwise rule/predicate *order* could change results at threshold
   // boundaries).
   double value = 0.0;
-  if (!info.id_path || !TryComputeFeatureIds(feature, info, pair, &value)) {
+  if (!info.id_path || !TryComputeFeatureIds(feature, pair, &value)) {
     // No id path, or budget pressure dropped or refused an id structure:
     // the string kernels re-tokenize and compute the identical value.
     value = ComputeSimilarity(
@@ -426,16 +455,7 @@ void PairContext::ComputeFeatureBlock(FeatureId f, const PairId* pairs,
 
   // Runs `cell(i)` for every set bit of the mask, tail-masked.
   const auto for_each_lane = [&](auto&& cell) {
-    const size_t words = bitspan::Words(n);
-    for (size_t wi = 0; wi < words; ++wi) {
-      uint64_t m = wi + 1 == words ? mask[wi] & bitspan::TailMask(n)
-                                   : mask[wi];
-      while (m != 0) {
-        const size_t i = wi * 64 + static_cast<size_t>(std::countr_zero(m));
-        m &= m - 1;
-        cell(i);
-      }
-    }
+    bitspan::ForEachSet(mask, n, cell);
   };
 
   // Hoisted id-kernel loops: the feature's structures are resolved once,
@@ -444,14 +464,15 @@ void PairContext::ComputeFeatureBlock(FeatureId f, const PairId* pairs,
   // build fails under budget pressure, the generic per-pair path below
   // computes the identical value through the string kernels.
   if (info.id_path) {
-    const bool qgrams = info.tokens == TokenNeed::kQGram3;
     switch (feature.fn) {
       case SimFunction::kJaccard:
       case SimFunction::kDice:
       case SimFunction::kOverlap:
-      case SimFunction::kTrigram: {
-        const IdColumn* ca = SetColumn(false, feature.attr_a, qgrams);
-        const IdColumn* cb = SetColumn(true, feature.attr_b, qgrams);
+      case SimFunction::kTrigram:
+      case SimFunction::kSoundex: {
+        const SetKind kind = SetKindOf(feature.fn);
+        const IdColumn* ca = SetColumn(false, feature.attr_a, kind);
+        const IdColumn* cb = SetColumn(true, feature.attr_b, kind);
         if (ca == nullptr || cb == nullptr) break;
         if (feature.fn == SimFunction::kDice) {
           for_each_lane([&](size_t i) {
@@ -463,7 +484,7 @@ void PairContext::ComputeFeatureBlock(FeatureId f, const PairId* pairs,
             out[i] = static_cast<float>(
                 IdOverlap(ca->Row(pairs[i].a), cb->Row(pairs[i].b)));
           });
-        } else {  // Jaccard and Trigram (= Jaccard over 3-grams)
+        } else {  // Jaccard, and Trigram and Soundex (Jaccard over codes)
           for_each_lane([&](size_t i) {
             out[i] = static_cast<float>(
                 IdJaccard(ca->Row(pairs[i].a), cb->Row(pairs[i].b)));
@@ -571,7 +592,8 @@ size_t PairContext::IdCacheBytes() const {
   size_t bytes = 0;
   for (const IdCache* idc : {&idc_a_, &idc_b_}) {
     bytes += ColumnBytes(idc->word_docs) + ColumnBytes(idc->words) +
-             ColumnBytes(idc->qgrams) + TfSlotBytes(idc->word_tf);
+             ColumnBytes(idc->qgrams) + ColumnBytes(idc->soundex) +
+             TfSlotBytes(idc->word_tf);
   }
   for (const auto& [key, mc] : model_ids_) {
     bytes += mc.idf_by_id.capacity() * sizeof(double);
@@ -583,7 +605,8 @@ size_t PairContext::IdCacheBytes() const {
 size_t PairContext::DropIdCaches() {
   const size_t before = IdCacheBytes();
   for (IdCache* idc : {&idc_a_, &idc_b_}) {
-    for (auto* columns : {&idc->word_docs, &idc->words, &idc->qgrams}) {
+    for (auto* columns :
+         {&idc->word_docs, &idc->words, &idc->qgrams, &idc->soundex}) {
       for (IdColumn& col : *columns) col = IdColumn{};
     }
     idc->word_tf.clear();

@@ -26,10 +26,11 @@ namespace emdbg {
 /// straight from the attribute bytes. Word tokens are interned to dense
 /// uint32 ids by a TokenInterner (document order and sorted-unique sets),
 /// 3-grams are packed into sorted-unique 24-bit codes (no strings, no
-/// interning), and lex-ordered term-frequency vectors and id-indexed
-/// TF-IDF weight vectors are built over the word ids, with document
-/// frequencies counted per id. The set-family kernels (Jaccard, Dice,
-/// overlap, trigram, cosine, TF-IDF, soft TF-IDF, Monge-Elkan) run over
+/// interning), each whitespace token's Soundex code is packed into 32
+/// bits, and lex-ordered term-frequency vectors and id-indexed TF-IDF
+/// weight vectors are built over the word ids, with document frequencies
+/// counted per id. The set-family kernels (Jaccard, Dice, overlap,
+/// trigram, soundex, cosine, TF-IDF, soft TF-IDF, Monge-Elkan) run over
 /// them — same doubles bit-for-bit (see src/text/id_kernels.h). Id
 /// columns are built a whole column at a time on first touch or during
 /// Prewarm. When budget pressure refuses them, nothing stays resident:
@@ -122,8 +123,8 @@ class PairContext {
   /// perfbench reports it; the next benchmark change removes it.
   size_t TokenCacheBytes() const { return 0; }
 
-  /// Approximate heap bytes held by the id caches (word-id and q-gram
-  /// code columns, tf vectors, TF-IDF weight vectors; excludes the
+  /// Approximate heap bytes held by the id caches (word-id, q-gram and
+  /// Soundex code columns, tf vectors, TF-IDF weight vectors; excludes the
   /// interner itself and its rank snapshot, which
   /// TokenInterner::DictionaryBytes reports).
   size_t IdCacheBytes() const;
@@ -160,6 +161,7 @@ class PairContext {
     std::vector<IdColumn> word_docs;  // word ids in document order
     std::vector<IdColumn> words;      // sorted-unique word ids
     std::vector<IdColumn> qgrams;     // sorted-unique 3-gram codes
+    std::vector<IdColumn> soundex;    // sorted-unique packed Soundex codes
     // Slot index = attr * num_rows + row; sized by the first BuildTfColumn.
     std::vector<std::unique_ptr<IdTfVector>> word_tf;
     std::vector<bool> tf_built;  // per attr
@@ -184,22 +186,32 @@ class PairContext {
   /// False when a needed id structure is unavailable (budget pressure
   /// dropped or refused it) — the caller falls through to the string
   /// kernels, which compute the identical value.
-  bool TryComputeFeatureIds(const Feature& feature,
-                            const SimFunctionInfo& info, PairId pair,
+  bool TryComputeFeatureIds(const Feature& feature, PairId pair,
                             double* value);
 
-  /// The sorted-unique column (word ids, or q-gram codes) of one
-  /// attribute, built on first touch (for words, with their
-  /// document-order column); nullptr when unavailable under budget
-  /// pressure.
-  const IdColumn* SetColumn(bool table_b, AttrIndex attr, bool qgrams);
+  /// What a sorted-unique id column holds.
+  enum class SetKind {
+    kWords,    ///< interned word ids
+    kQGrams,   ///< packed 24-bit 3-gram codes
+    kSoundex,  ///< packed 32-bit Soundex codes
+  };
+  /// The column kind feature `fn`'s id path reads (words for the
+  /// word-based families).
+  static SetKind SetKindOf(SimFunction fn);
+  static IdColumn* SetSlot(IdCache& idc, AttrIndex attr, SetKind kind);
+
+  /// The sorted-unique column of one attribute, built on first touch (for
+  /// words, with their document-order column); nullptr when unavailable
+  /// under budget pressure.
+  const IdColumn* SetColumn(bool table_b, AttrIndex attr, SetKind kind);
 
   /// Builds one attribute's id columns from the attribute bytes. Words:
   /// interned serially in document order, then sorted-unique rows over
-  /// `pool`. Q-grams: code rows over `pool`, no interning. False when the
-  /// column is unavailable (billing denied → column dropped, id path
-  /// degraded; once degraded, nothing new is built).
-  bool BuildIdColumn(bool table_b, AttrIndex attr, bool qgrams,
+  /// `pool`. Q-gram and Soundex codes: code rows over `pool`, no
+  /// interning. False when the column is unavailable (billing denied →
+  /// column dropped, id path degraded; once degraded, nothing new is
+  /// built).
+  bool BuildIdColumn(bool table_b, AttrIndex attr, SetKind kind,
                      ThreadPool* pool);
   /// Builds lex-ordered term-frequency vectors for one words column.
   /// Same contract as BuildIdColumn.

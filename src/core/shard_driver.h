@@ -31,7 +31,8 @@ namespace emdbg {
 ///
 /// Bit-identity: shard boundaries are multiples of 64, so every output
 /// bitmap word belongs to exactly one shard and merging is pure word ORs.
-/// The memo is pair-major with no cross-pair sharing, and the block
+/// A shard's memo holds its pair range of every feature column, with no
+/// cross-pair sharing, and the block
 /// engine performs exactly the serial matcher's (pair, rule, predicate)
 /// evaluations, so the merged match bitmap, the concatenated decision
 /// bitmaps, and the summed MatchStats counters are bit-identical to one

@@ -51,13 +51,11 @@ class Reader {
   bool ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
   bool ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
 
-  bool ReadFloats(std::vector<float>& out, size_t count) {
-    uint64_t bytes = 0;
-    if (!CheckedMul(count, sizeof(float), &bytes) || remaining() < bytes) {
-      return false;
-    }
-    out.resize(count);
-    std::memcpy(out.data(), data_.data() + pos_, bytes);
+  /// Consumes `bytes` bytes and points `out` at them (valid while the
+  /// loaded buffer lives).
+  bool ReadBytes(std::string_view* out, uint64_t bytes) {
+    if (remaining() < bytes) return false;
+    *out = data_.substr(pos_, bytes);
     Consume(bytes);
     return true;
   }
@@ -172,8 +170,9 @@ Result<MatchState> LoadBody(Reader& body, bool checked) {
   state.Initialize(num_pairs, num_features);
 
   body.StartSection();
-  std::vector<float> values;
-  if (!body.ReadFloats(values, num_pairs * num_features)) {
+  // ValidateDimensions proved the product fits and is present.
+  std::string_view values;
+  if (!body.ReadBytes(&values, num_pairs * num_features * sizeof(float))) {
     return Status::ParseError("truncated memo payload");
   }
   if (checked) {
@@ -262,7 +261,9 @@ Status SaveMatchStateImpl(
   }
   std::string out;
   const DenseMemo& memo = state.memo();
-  out.reserve(64 + memo.raw_values().size() * sizeof(float));
+  const size_t memo_bytes =
+      memo.num_pairs() * memo.num_features() * sizeof(float);
+  out.reserve(64 + memo_bytes);
   out.append(kMagicV2, sizeof(kMagicV2));
 
   size_t section = out.size();
@@ -270,9 +271,11 @@ Status SaveMatchStateImpl(
   AppendU64(out, memo.num_features());
   AppendSectionCrc(out, section);
 
+  // The memo section is pair-major: transposed from the feature columns
+  // straight into the output buffer.
   section = out.size();
-  out.append(reinterpret_cast<const char*>(memo.raw_values().data()),
-             memo.raw_values().size() * sizeof(float));
+  out.resize(section + memo_bytes);
+  memo.WriteRawValues(out.data() + section);
   AppendSectionCrc(out, section);
 
   section = out.size();

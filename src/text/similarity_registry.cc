@@ -33,7 +33,7 @@ constexpr std::array<SimFunctionInfo, kNumSimFunctions> kInfos = {{
     {SimFunction::kJaccard, "jaccard", "Jaccard", TokenNeed::kWords, false,
      true},
     {SimFunction::kSoundex, "soundex", "Soundex", TokenNeed::kNone, false,
-     false},
+     true},
     {SimFunction::kTfIdf, "tf_idf", "TF-IDF", TokenNeed::kWords, true, true},
     {SimFunction::kSoftTfIdf, "soft_tf_idf", "Soft TF-IDF", TokenNeed::kWords,
      true, true},

@@ -1,5 +1,7 @@
 #include "src/text/soundex.h"
 
+#include <algorithm>
+
 #include "src/text/set_similarity.h"
 #include "src/text/tokenizer.h"
 #include "src/util/string_util.h"
@@ -78,6 +80,35 @@ double SoundexSimilarity(std::string_view a, std::string_view b) {
     if (!code.empty()) codes_b.push_back(std::move(code));
   }
   return JaccardSimilarity(codes_a, codes_b);
+}
+
+size_t SoundexCodeCapacity(std::string_view text) {
+  size_t tokens = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    tokens += !IsAsciiSpace(text[i]) &&
+              (i == 0 || IsAsciiSpace(text[i - 1]));
+  }
+  return tokens;
+}
+
+size_t SortedSoundexCodes(std::string_view text, uint32_t* out) {
+  size_t count = 0;
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && IsAsciiSpace(text[i])) ++i;
+    const size_t start = i;
+    while (i < text.size() && !IsAsciiSpace(text[i])) ++i;
+    if (i == start) break;
+    const std::string code = SoundexCode(text.substr(start, i - start));
+    if (code.empty()) continue;
+    uint32_t packed = 0;
+    for (const char c : code) {
+      packed = (packed << 8) | static_cast<unsigned char>(c);
+    }
+    out[count++] = packed;
+  }
+  std::sort(out, out + count);
+  return static_cast<size_t>(std::unique(out, out + count) - out);
 }
 
 }  // namespace emdbg

@@ -1,8 +1,10 @@
 #ifndef EMDBG_UTIL_BITMAP_H_
 #define EMDBG_UTIL_BITMAP_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace emdbg {
@@ -48,6 +50,36 @@ size_t CountAnd(const uint64_t* a, const uint64_t* b, size_t nbits);
 
 /// True if any bit in [0, nbits) is set.
 bool Any(const uint64_t* words, size_t nbits);
+
+/// Calls fn(i) for every set bit i in [0, nbits), in increasing order;
+/// bits at or past nbits are ignored. Each word is read once before its
+/// bits are visited, so fn may clear bits of the span it walks.
+template <typename Fn>
+void ForEachSet(const uint64_t* words, size_t nbits, Fn&& fn) {
+  const size_t n = Words(nbits);
+  for (size_t wi = 0; wi < n; ++wi) {
+    uint64_t w = wi + 1 == n ? words[wi] & TailMask(nbits) : words[wi];
+    while (w != 0) {
+      fn(wi * 64 + static_cast<size_t>(std::countr_zero(w)));
+      w &= w - 1;
+    }
+  }
+}
+
+/// Packs 64 bytes, each 0 or 1, into one word (bit j = bytes[j]). A lane
+/// loop that writes one byte per lane has no loop-carried dependence (a
+/// `bits |= x << j` loop has one), so the compiler can vectorize it; the
+/// bytes are then gathered eight at a time — the multiply moves byte j's
+/// low bit to product bit 56 + j, carry-free for 0/1 bytes.
+inline uint64_t PackBytes64(const uint8_t* bytes) {
+  uint64_t bits = 0;
+  for (size_t k = 0; k < 8; ++k) {
+    uint64_t w;
+    std::memcpy(&w, bytes + k * 8, sizeof(w));
+    bits |= ((w * 0x0102040810204080ULL) >> 56) << (k * 8);
+  }
+  return bits;
+}
 
 }  // namespace bitspan
 

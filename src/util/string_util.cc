@@ -13,13 +13,6 @@ std::string ToLowerAscii(std::string_view s) {
   return out;
 }
 
-namespace {
-bool IsAsciiSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-}  // namespace
-
 std::string_view TrimAscii(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();

@@ -20,6 +20,12 @@ constexpr bool IsAsciiAlpha(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
 constexpr bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+/// Space, tab, newline, carriage return, form feed and vertical tab: the
+/// separators of TrimAscii and SplitWhitespace.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
+         c == '\v';
+}
 constexpr bool IsAsciiAlnum(char c) {
   return IsAsciiAlpha(c) || IsAsciiDigit(c);
 }

@@ -1,6 +1,7 @@
 #include "src/core/debug_session.h"
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +196,35 @@ TEST_F(DebugSessionTest, UndoRevertsLastEdit) {
   ASSERT_TRUE(session->Undo().ok());
   EXPECT_EQ(session->Run(), before);
   EXPECT_EQ(session->function().num_rules(), 1u);
+}
+
+TEST_F(DebugSessionTest, FootprintCountsTheUndoHistory) {
+  // Every post-run edit is kept for Undo; the footprint shows it growing
+  // with the edits, shrinking on Undo, and inside total().
+  auto session = MakeSession();
+  ASSERT_TRUE(session->AddRuleText("jaccard(title, title) >= 0.6").ok());
+  session->Run();
+  const size_t empty = session->Footprint().edit_log_bytes;
+  std::vector<size_t> grown;
+  const char* const kRules[] = {
+      "exact_match(modelno, modelno) >= 1",
+      "dice(title, title) >= 0.9",
+      "overlap(title, title) >= 0.95",
+  };
+  for (const char* rule : kRules) {
+    ASSERT_TRUE(session->AddRuleText(rule).ok());
+    grown.push_back(session->Footprint().edit_log_bytes);
+  }
+  EXPECT_GT(grown[0], empty);
+  EXPECT_GT(grown[1], grown[0]);
+  EXPECT_GT(grown[2], grown[1]);
+  const DebugSession::MemoryFootprint fp = session->Footprint();
+  EXPECT_EQ(fp.total(), fp.memo_bytes + fp.id_cache_bytes +
+                            fp.interner_bytes + fp.edit_log_bytes);
+  ASSERT_TRUE(session->Undo().ok());
+  EXPECT_EQ(session->Footprint().edit_log_bytes, grown[1]);
+  ASSERT_TRUE(session->Undo().ok());
+  EXPECT_EQ(session->Footprint().edit_log_bytes, grown[0]);
 }
 
 TEST_F(DebugSessionTest, UndoBeforeRunIsError) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "src/util/bitmap.h"
 
@@ -181,13 +183,168 @@ TEST(DenseMemoTest, FillSpanMasksTailWord) {
   EXPECT_FALSE(memo.Contains(65, 0));
 }
 
-TEST(DenseMemoTest, RowViewSeesStores) {
+TEST(DenseMemoTest, ColumnSeesStoresAndLoads) {
+  // Storage is feature-major: Column(f) is feature f's values in pair
+  // order, NaN where absent.
   DenseMemo memo(4, 3);
   memo.Store(2, 1, 0.75);
-  const float* row = memo.RowView(2);
-  EXPECT_TRUE(std::isnan(row[0]));
-  EXPECT_EQ(row[1], 0.75f);
-  EXPECT_TRUE(std::isnan(row[2]));
+  memo.Store(0, 1, 0.5);
+  const float* col = memo.Column(1);
+  EXPECT_EQ(col[0], 0.5f);
+  EXPECT_TRUE(std::isnan(col[1]));
+  EXPECT_EQ(col[2], 0.75f);
+  EXPECT_TRUE(std::isnan(col[3]));
+  for (const FeatureId f : {0u, 2u}) {
+    for (size_t p = 0; p < 4; ++p) EXPECT_TRUE(std::isnan(memo.Column(f)[p]));
+  }
+}
+
+TEST(DenseMemoTest, GrowFeaturesKeepsExistingColumnsInPlace) {
+  // Adding a feature appends a column: the existing columns are neither
+  // copied nor moved, so their values and addresses survive.
+  DenseMemo memo(300, 12);
+  for (FeatureId f = 0; f < 12; ++f) {
+    for (size_t p = f; p < 300; p += 7) memo.Store(p, f, (p % 97) / 97.0);
+  }
+  std::vector<const float*> before;
+  for (FeatureId f = 0; f < 12; ++f) before.push_back(memo.Column(f));
+  const size_t filled = memo.FilledCount();
+  memo.GrowFeatures(13);
+  memo.GrowFeatures(20);
+  ASSERT_EQ(memo.num_features(), 20u);
+  EXPECT_EQ(memo.FilledCount(), filled);
+  EXPECT_EQ(memo.MemoryBytes(), 300u * 20u * sizeof(float));
+  for (FeatureId f = 0; f < 12; ++f) {
+    EXPECT_EQ(memo.Column(f), before[f]) << f;
+    for (size_t p = 0; p < 300; ++p) {
+      double v = 0.0;
+      const bool stored = p >= f && (p - f) % 7 == 0;
+      ASSERT_EQ(memo.Lookup(p, f, &v), stored) << p << "," << f;
+      if (stored) {
+        EXPECT_EQ(static_cast<float>(v), static_cast<float>((p % 97) / 97.0));
+      }
+    }
+  }
+  for (FeatureId f = 12; f < 20; ++f) {
+    for (size_t p = 0; p < 300; ++p) EXPECT_FALSE(memo.Contains(p, f));
+  }
+}
+
+TEST(DenseMemoTest, LookupLanesReadsSetLanesAndReportsMissing) {
+  // 130 lanes over scattered rows (three words, a 2-lane tail); the lane
+  // mask's tail word is poisoned past n.
+  DenseMemo memo(1000, 2);
+  const size_t n = 130;
+  std::vector<uint32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i * 7 + 3);
+  for (size_t i = 0; i < n; i += 3) memo.Store(rows[i], 1, i / 256.0);
+  memo.Store(rows[5], 0, 0.5);  // another feature: must not be seen
+  std::vector<uint64_t> lanes(bitspan::Words(n), 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 2 == 0 || i >= 64) lanes[i >> 6] |= uint64_t{1} << (i & 63);
+  }
+  lanes.back() |= ~bitspan::TailMask(n);
+  std::vector<float> out(n, -1.0f);
+  std::vector<uint64_t> missing(bitspan::Words(n), ~uint64_t{0});
+  const size_t hits = memo.LookupLanes(1, rows.data(), n, lanes.data(),
+                                       out.data(), missing.data());
+  size_t want_hits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const bool lane = i % 2 == 0 || i >= 64;
+    const bool stored = i % 3 == 0;
+    want_hits += lane && stored;
+    EXPECT_EQ((missing[i >> 6] >> (i & 63)) & 1u, lane && !stored ? 1u : 0u)
+        << i;
+    if (lane && stored) {
+      EXPECT_EQ(out[i], static_cast<float>(i / 256.0)) << i;
+    }
+  }
+  EXPECT_EQ(hits, want_hits);
+  EXPECT_EQ(missing.back() & ~bitspan::TailMask(n), 0u);
+
+  // No lane set: nothing is missing and nothing is hit.
+  std::vector<uint64_t> none(bitspan::Words(n), 0);
+  EXPECT_EQ(memo.LookupLanes(1, rows.data(), n, none.data(), out.data(),
+                             missing.data()),
+            0u);
+  for (const uint64_t w : missing) EXPECT_EQ(w, 0u);
+}
+
+TEST(DenseMemoTest, StoreLanesStoresMaskedLanesAndCountsNewFills) {
+  DenseMemo memo(500, 3);
+  const size_t n = 70;
+  std::vector<uint32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(499 - i * 5);
+  memo.Store(rows[4], 2, 0.125);  // pre-filled, inside the mask
+  memo.Store(rows[5], 2, 0.375);  // pre-filled, outside the mask
+  std::vector<float> vals(n);
+  std::vector<uint64_t> mask(bitspan::Words(n), 0);
+  size_t masked = 0;
+  for (size_t i = 0; i < n; ++i) {
+    vals[i] = static_cast<float>(i) / 128.0f;
+    if (i % 2 == 0) {
+      mask[i >> 6] |= uint64_t{1} << (i & 63);
+      ++masked;
+    }
+  }
+  mask.back() |= ~bitspan::TailMask(n);  // poisoned tail: ignored
+  memo.StoreLanes(2, rows.data(), n, vals.data(), mask.data());
+  // One new fill per masked lane except the pre-filled one, plus the
+  // unmasked pre-filled cell.
+  EXPECT_EQ(memo.FilledCount(), masked - 1 + 2);
+  double v = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(memo.Lookup(rows[i], 2, &v), i % 2 == 0 || i == 5) << i;
+    if (i % 2 == 0) {
+      EXPECT_EQ(v, static_cast<double>(vals[i])) << i;
+    }
+  }
+  EXPECT_TRUE(memo.Lookup(rows[5], 2, &v));
+  EXPECT_EQ(v, 0.375);
+  // Overwriting present cells does not count them again.
+  memo.StoreLanes(2, rows.data(), n, vals.data(), mask.data());
+  EXPECT_EQ(memo.FilledCount(), masked + 1);
+}
+
+TEST(DenseMemoTest, StoreLanesOverARowRangeEqualsFillSpan) {
+  // Lanes whose rows are a contiguous range are a FillSpan: same cells,
+  // same values, same fill count, and LookupLanes then sees what
+  // GatherColumn sees.
+  const size_t row = 37, n = 150;
+  std::vector<float> vals(n);
+  std::vector<uint64_t> mask(bitspan::Words(n), 0);
+  std::vector<uint32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    vals[i] = static_cast<float>(i) / 512.0f;
+    rows[i] = static_cast<uint32_t>(row + i);
+    if (i % 5 != 1) mask[i >> 6] |= uint64_t{1} << (i & 63);
+  }
+  DenseMemo spans(300, 2);
+  DenseMemo lanes(300, 2);
+  spans.Store(row + 3, 1, 0.25);
+  lanes.Store(row + 3, 1, 0.25);
+  spans.FillSpan(row, n, 1, vals.data(), mask.data());
+  lanes.StoreLanes(1, rows.data(), n, vals.data(), mask.data());
+  EXPECT_EQ(lanes.FilledCount(), spans.FilledCount());
+  EXPECT_EQ(std::memcmp(lanes.Column(1), spans.Column(1), 300 * sizeof(float)),
+            0);
+
+  std::vector<float> gathered(n);
+  std::vector<uint64_t> present(bitspan::Words(n));
+  spans.GatherColumn(row, n, 1, gathered.data(), present.data());
+  std::vector<uint64_t> all(bitspan::Words(n), ~uint64_t{0});
+  std::vector<float> looked(n);
+  std::vector<uint64_t> missing(bitspan::Words(n));
+  const size_t hits = lanes.LookupLanes(1, rows.data(), n, all.data(),
+                                        looked.data(), missing.data());
+  EXPECT_EQ(hits, bitspan::Count(present.data(), n));
+  for (size_t wi = 0; wi < present.size(); ++wi) {
+    const uint64_t valid =
+        wi + 1 == present.size() ? bitspan::TailMask(n) : ~uint64_t{0};
+    EXPECT_EQ(missing[wi], ~present[wi] & valid) << wi;
+  }
+  EXPECT_EQ(std::memcmp(looked.data(), gathered.data(), n * sizeof(float)),
+            0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -64,8 +65,13 @@ TEST_F(StateIoTest, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded->num_pairs(), state.num_pairs());
   EXPECT_EQ(loaded->matches(), state.matches());
   EXPECT_EQ(loaded->memo().FilledCount(), state.memo().FilledCount());
-  EXPECT_EQ(loaded->memo().raw_values().size(),
-            state.memo().raw_values().size());
+  ASSERT_EQ(loaded->memo().num_features(), state.memo().num_features());
+  for (FeatureId f = 0; f < state.memo().num_features(); ++f) {
+    EXPECT_EQ(std::memcmp(loaded->memo().Column(f), state.memo().Column(f),
+                          state.num_pairs() * sizeof(float)),
+              0)
+        << "feature " << f;
+  }
   for (const RuleId rid : state.RuleIdsWithState()) {
     ASSERT_NE(loaded->FindRuleTrue(rid), nullptr);
     EXPECT_EQ(*loaded->FindRuleTrue(rid), *state.FindRuleTrue(rid));
@@ -74,6 +80,55 @@ TEST_F(StateIoTest, RoundTripPreservesEverything) {
     ASSERT_NE(loaded->FindPredFalse(pid), nullptr);
     EXPECT_EQ(*loaded->FindPredFalse(pid), *state.FindPredFalse(pid));
   }
+}
+
+TEST_F(StateIoTest, MemoSectionIsPairMajorOnDisk) {
+  // Golden bytes: the v2 memo section is the pair-major float matrix
+  // (pair 0's features, then pair 1's, ...; absent = NaN), whatever the
+  // layout in memory, so files saved before and after a layout change
+  // load alike.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  MatchState state;
+  state.Initialize(3, 4);
+  DenseMemo& memo = state.memo();
+  memo.Store(0, 0, 0.25);
+  memo.Store(0, 3, 1.0);
+  memo.Store(1, 1, 0.5);
+  memo.Store(1, 2, 0.0);
+  memo.Store(2, 0, 0.75);
+  memo.Store(2, 3, 0.125);
+  const float expected[3 * 4] = {
+      0.25f, kNaN, kNaN, 1.0f,   // pair 0
+      kNaN,  0.5f, 0.0f, kNaN,   // pair 1
+      0.75f, kNaN, kNaN, 0.125f  // pair 2
+  };
+  ASSERT_TRUE(SaveMatchState(state, path_).ok());
+  const auto bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  const size_t memo_pos = 8 + (16 + 4);  // magic, header + crc
+  ASSERT_GE(bytes->size(), memo_pos + sizeof(expected) + 4);
+  EXPECT_EQ(std::memcmp(bytes->data() + memo_pos, expected, sizeof(expected)),
+            0);
+  uint32_t crc = 0;
+  std::memcpy(&crc, bytes->data() + memo_pos + sizeof(expected), 4);
+  EXPECT_EQ(crc, Crc32c(expected, sizeof(expected)));
+
+  const auto loaded = LoadMatchState(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->memo().num_pairs(), 3u);
+  ASSERT_EQ(loaded->memo().num_features(), 4u);
+  EXPECT_EQ(loaded->memo().FilledCount(), 6u);
+  for (FeatureId f = 0; f < 4; ++f) {
+    for (size_t p = 0; p < 3; ++p) {
+      const float got = loaded->memo().Column(f)[p];
+      EXPECT_EQ(std::memcmp(&got, &expected[p * 4 + f], sizeof(float)), 0)
+          << "pair " << p << " feature " << f;
+    }
+  }
+  // Saving the loaded state gives the same bytes.
+  const std::string first = *bytes;
+  ASSERT_TRUE(SaveMatchState(*loaded, path_).ok());
+  EXPECT_EQ(*ReadFileToString(path_), first);
 }
 
 TEST_F(StateIoTest, ResumedSessionContinuesIncrementally) {

@@ -20,12 +20,14 @@
 #include "src/text/set_similarity.h"
 #include "src/text/similarity_registry.h"
 #include "src/text/soft_tfidf.h"
+#include "src/text/soundex.h"
 #include "src/text/tfidf.h"
 #include "src/text/token_interner.h"
 #include "src/text/tokenizer.h"
 #include "src/util/bitmap.h"
 #include "src/util/memory_budget.h"
 #include "src/util/random.h"
+#include "src/util/string_util.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -150,6 +152,71 @@ TEST(IdKernelsDifferentialTest, PackedQGramCodesMatchTrigramSimilarity) {
       EXPECT_TRUE(SameDouble(got, want))
           << got << " vs " << want << " on values of " << a.size()
           << " and " << b.size() << " bytes";
+    }
+  }
+}
+
+// Soundex edge values: no letters, H/W (transparent between same-coded
+// letters), repeated codes, every ASCII separator, bytes >= 0x80 (never
+// letters) and empty values.
+std::vector<std::string> SoundexEdgeValues() {
+  return {"",         " ",           "\t\n\r\f\v",   "123",
+          "--- 42",   "o'brien",      "OBrien",          "Ashcraft",
+          "ashcroft", "hwhw",         "W",               "Wh h",
+          "Tymczak",  "Pfister",      "Honeyman",        "Lee a",
+          "Robert Rupert Robert",     "smith smyth SMITH",
+          "smith\tsmyth\nrobert",     "  a  b  ",        "x\vy\fz",
+          "\xC0",     "\xE0" "b\xC0", "caf\xc3\xa9 cafe", "\xff\xfe 7",
+          "acme turbo", "ACME\tTurbo\rx200"};
+}
+
+std::vector<TokenId> SoundexCodes(std::string_view text) {
+  std::vector<TokenId> codes(SoundexCodeCapacity(text));
+  codes.resize(SortedSoundexCodes(text, codes.data()));
+  return codes;
+}
+
+TEST(IdKernelsDifferentialTest, PackedSoundexCodesMatchSoundexSimilarity) {
+  std::vector<std::string> values = SoundexEdgeValues();
+  Rng rng(1909);
+  const char alphabet[] = {'a', 'H', 'w', 'r', 'B', 'p', ' ',  '\t',
+                           '\n', '1', '\x80', '\xe9', 'Z', 'y', '\0'};
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string v;
+    const size_t len = rng.Uniform(trial < 600 ? 5 : 40);
+    for (size_t k = 0; k < len; ++k) {
+      v.push_back(alphabet[rng.Uniform(sizeof(alphabet))]);
+    }
+    values.push_back(std::move(v));
+  }
+  for (const std::string& v : values) {
+    // The codes are the sorted-unique SoundexCode strings, byte for byte,
+    // and the capacity is the token count.
+    const std::vector<TokenId> codes = SoundexCodes(v);
+    EXPECT_EQ(SoundexCodeCapacity(v), SplitWhitespace(v).size());
+    std::vector<std::string> want;
+    for (const std::string& token : SplitWhitespace(v)) {
+      std::string code = SoundexCode(token);
+      if (!code.empty()) want.push_back(std::move(code));
+    }
+    want = ToSortedUnique(want);
+    ASSERT_EQ(codes.size(), want.size()) << "value of " << v.size();
+    for (size_t k = 0; k < codes.size(); ++k) {
+      const char decoded[4] = {
+          static_cast<char>(codes[k] >> 24), static_cast<char>(codes[k] >> 16),
+          static_cast<char>(codes[k] >> 8), static_cast<char>(codes[k])};
+      EXPECT_EQ(std::string(decoded, 4), want[k]);
+    }
+  }
+  for (size_t k = 0; k < values.size(); ++k) {
+    const std::string& x = values[k];
+    for (const std::string& y :
+         {values[(k * 7 + 3) % values.size()], values[k / 2]}) {
+      const double want = SoundexSimilarity(x, y);
+      const double got = IdJaccard(SoundexCodes(x), SoundexCodes(y));
+      EXPECT_TRUE(SameDouble(got, want))
+          << got << " vs " << want << " on values of " << x.size()
+          << " and " << y.size() << " bytes";
     }
   }
 }
@@ -393,6 +460,49 @@ TEST_F(PairContextDifferentialTest, DropIdCachesKeepsValues) {
   for (size_t k = 0; k < features_.size(); ++k) {
     EXPECT_EQ(ctx.ComputeFeature(features_[k], {3, 5}), before[k]);
   }
+}
+
+TEST(PairContextSoundexTest, EdgeValuesBitIdenticalOnBothRungs) {
+  // soundex(brand-like column) over the edge values, against
+  // SoundexSimilarity, through ComputeFeatureBlock and ComputeFeature, with
+  // code columns and with a budget that refuses them (re-tokenize rung).
+  const std::vector<std::string> values = SoundexEdgeValues();
+  Table a("A", Schema({"brand"}));
+  Table b("B", Schema({"brand"}));
+  for (const std::string& v : values) {
+    ASSERT_TRUE(a.AppendRow({v}).ok());
+    ASSERT_TRUE(b.AppendRow({v}).ok());
+  }
+  FeatureCatalog catalog(a.schema(), b.schema());
+  const FeatureId f =
+      *catalog.InternByName(SimFunction::kSoundex, "brand", "brand");
+  std::vector<PairId> pairs;
+  for (uint32_t i = 0; i < a.num_rows(); ++i) {
+    for (uint32_t j = 0; j < b.num_rows(); ++j) pairs.push_back({i, j});
+  }
+  const std::vector<uint64_t> mask(bitspan::Words(pairs.size()),
+                                   ~uint64_t{0});
+  MemoryBudget refusing(1, "refusing");
+  PairContext with_codes(a, b, catalog);
+  PairContext fallback(a, b, catalog,
+                       PairContext::Options{.budget = &refusing});
+  for (PairContext* ctx : {&with_codes, &fallback}) {
+    std::vector<float> block(pairs.size());
+    ctx->ComputeFeatureBlock(f, pairs.data(), pairs.size(), mask.data(),
+                             block.data());
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      const double want = static_cast<float>(
+          SoundexSimilarity(values[pairs[k].a], values[pairs[k].b]));
+      EXPECT_TRUE(SameDouble(static_cast<double>(block[k]), want))
+          << "block lane " << k;
+      EXPECT_TRUE(SameDouble(ctx->ComputeFeature(f, pairs[k]), want))
+          << "pair (" << pairs[k].a << "," << pairs[k].b << ")";
+    }
+  }
+  EXPECT_FALSE(with_codes.id_path_degraded());
+  EXPECT_GT(with_codes.IdCacheBytes(), 0u);
+  EXPECT_TRUE(fallback.id_path_degraded());
+  EXPECT_EQ(fallback.IdCacheBytes(), 0u);
 }
 
 TEST(IdfByIdTest, EqualsTfIdfModelIdfBitForBit) {
