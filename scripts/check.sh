@@ -32,7 +32,7 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 # plus the serve layer (worker pool + poll loop + per-session queues),
 # its wire protocol, the soak test, and fault injection (its registry is
 # read from every worker thread).
-tsan_filter='ThreadPool|Parallel|WorkerPool|MultiThreaded|Cancel|Sharded'
+tsan_filter='ThreadPool|Parallel|WorkerPool|MultiThreaded|Cancel'
 tsan_filter+='|Server|Soak|Wire|SessionDigest|Fault'
 
 # UBSan focuses on the arithmetic-heavy kernels (similarity, CRC,

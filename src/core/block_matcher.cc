@@ -98,12 +98,11 @@ void PassMask(const float* col, const uint64_t* active, size_t nb,
 
 BlockEvaluator::BlockEvaluator(const MatchingFunction& fn,
                                const CandidateSet& pairs, PairContext& ctx,
-                               Memo* memo, MatchState* state,
+                               DenseMemo* memo, MatchState* state,
                                size_t block_size)
     : pairs_(pairs),
       ctx_(ctx),
       memo_(memo),
-      dense_(dynamic_cast<DenseMemo*>(memo)),
       num_pairs_(pairs.size()),
       block_size_(std::max<size_t>(64, (block_size + 63) / 64 * 64)),
       words_(block_size_ / 64) {
@@ -143,27 +142,14 @@ void BlockEvaluator::GatherSlot(uint32_t slot, FeatureId feature,
                                 size_t base, size_t nb, Scratch& s) const {
   float* col = s.cols.data() + slot * block_size_;
   uint64_t* filled = s.bits.data() + slot * words_;
-  if (dense_ != nullptr) {
-    dense_->GatherColumn(base, nb, feature, col, filled);
-  } else if (memo_ != nullptr) {
-    bitspan::Fill(filled, nb, false);
-    for (size_t i = 0; i < nb; ++i) {
-      double v = 0.0;
-      if (memo_->Lookup(base + i, feature, &v)) {
-        col[i] = static_cast<float>(v);
-        filled[i >> 6] |= uint64_t{1} << (i & 63);
-      } else {
-        col[i] = std::numeric_limits<float>::quiet_NaN();
-      }
-    }
+  if (memo_ != nullptr) {
+    memo_->GatherColumn(base, nb, feature, col, filled);
+    bitspan::Fill(
+        s.bits.data() + (slot_features_.size() + slot) * words_, nb, false);
   } else {
     // Memo-less mode: every lane starts absent.
     std::fill(col, col + nb, std::numeric_limits<float>::quiet_NaN());
     bitspan::Fill(filled, nb, false);
-  }
-  if (memo_ != nullptr) {
-    bitspan::Fill(
-        s.bits.data() + (slot_features_.size() + slot) * words_, nb, false);
   }
   s.touched[slot] = 1;
 }
@@ -245,15 +231,8 @@ void BlockEvaluator::EvalBlock(size_t b, Bitmap& matches, MatchStats& stats,
       if (s.touched[slot] == 0) continue;
       const uint64_t* dirty = dirty_base + slot * words_;
       if (!bitspan::Any(dirty, nb)) continue;
-      const float* col = s.cols.data() + slot * block_size_;
-      if (dense_ != nullptr) {
-        dense_->FillSpan(base, nb, slot_features_[slot], col, dirty);
-      } else {
-        bitspan::ForEachSet(dirty, nb, [&](size_t i) {
-          memo_->Store(base + i, slot_features_[slot],
-                       static_cast<double>(col[i]));
-        });
-      }
+      memo_->FillSpan(base, nb, slot_features_[slot],
+                      s.cols.data() + slot * block_size_, dirty);
     }
   }
 }
@@ -266,7 +245,7 @@ MatchResult BlockMatcher::Run(const MatchingFunction& fn,
 
 MatchResult BlockMatcher::RunWithMemo(const MatchingFunction& fn,
                                       const CandidateSet& pairs,
-                                      PairContext& ctx, Memo& memo,
+                                      PairContext& ctx, DenseMemo& memo,
                                       const RunControl& control) {
   return RunImpl(fn, pairs, ctx, nullptr, &memo, control);
 }
@@ -342,7 +321,7 @@ size_t BlockMatcher::ResolveBlockSize(const Options& options,
 MatchResult BlockMatcher::RunImpl(const MatchingFunction& fn,
                                   const CandidateSet& pairs,
                                   PairContext& ctx, MatchState* state,
-                                  Memo* memo, const RunControl& control) {
+                                  DenseMemo* memo, const RunControl& control) {
   Stopwatch timer;
   MatchResult result;
   result.matches = Bitmap(pairs.size());
@@ -360,16 +339,6 @@ MatchResult BlockMatcher::RunImpl(const MatchingFunction& fn,
                          ? options_.pool
                          : nullptr;
   const size_t workers = pool != nullptr ? pool->num_workers() : 1;
-  if (pool != nullptr && memo != nullptr && !memo->SafeForConcurrentRows()) {
-    return refuse(Status::InvalidArgument(
-        "memo is not safe for concurrent Store (HashMemo rehash moves "
-        "every bucket); use DenseMemo, wrap it in a ShardedMemo, or run "
-        "without a pool"));
-  }
-  // Workers only read shared context state: build every column the
-  // features read before they start.
-  if (pool != nullptr) ctx.Prewarm(fn.UsedFeatures(), pool);
-
   BlockEvaluator eval(fn, pairs, ctx, memo, state,
                       ResolveBlockSize(options_, fn));
   const size_t block = eval.block_size();
@@ -379,10 +348,20 @@ MatchResult BlockMatcher::RunImpl(const MatchingFunction& fn,
   };
   // Block scratch (feature columns + masks) dominates per-worker memory,
   // so reserve the real figure for every worker before any starts.
-  Result<MemoryReservation> scratch_bytes = MemoryReservation::Make(
-      options_.budget, workers * (sizeof(Worker) + eval.ScratchBytes()),
-      "block.scratch");
+  const size_t scratch_need = workers * (sizeof(Worker) + eval.ScratchBytes());
+  Result<MemoryReservation> scratch_bytes =
+      MemoryReservation::Make(options_.budget, scratch_need, "block.scratch");
+  if (!scratch_bytes.ok() && ctx.DropIdCaches() > 0) {
+    // The run cannot go without its scratch, but it can without the
+    // context's id caches: those rebuild in what the scratch leaves, or
+    // their features re-tokenize per call with identical values.
+    scratch_bytes =
+        MemoryReservation::Make(options_.budget, scratch_need, "block.scratch");
+  }
   if (!scratch_bytes.ok()) return refuse(scratch_bytes.status());
+  // Workers only read shared context state: build every column the
+  // features read before they start.
+  if (pool != nullptr) ctx.Prewarm(fn.UsedFeatures(), pool);
   std::vector<Worker> worker_state(workers);
   for (Worker& ws : worker_state) eval.InitScratch(ws.scratch);
 

@@ -12,8 +12,8 @@
 namespace emdbg {
 
 /// The columnar (batch-at-a-time) evaluation engine behind BlockMatcher,
-/// the production full-run engine (serial or over a pool, resident or
-/// sharded).
+/// the production full-run engine (serial or over a pool, with or without
+/// a memo).
 ///
 /// PR 3 made the similarity kernels 13–46x faster, but end-to-end
 /// matching moved only 1.14–1.52x: Algorithm 4's per-pair loop now spends
@@ -47,11 +47,6 @@ namespace emdbg {
 /// (pair, rule, predicate) evaluations, memo probes, and feature
 /// computations is the same set the per-pair loop performs, merely
 /// reordered across pairs of one block (pairs are independent, Sec. 7.5).
-///
-/// Stats equivalence assumes the memo's contents do not change underneath
-/// the run (true for DenseMemo; an evicting ShardedMemo under budget
-/// pressure can shift hit counts — for such memos only the match bits are
-/// guaranteed, since hit counts then depend on eviction timing).
 class BlockEvaluator {
  public:
   /// Worker-local buffers: one float column + presence/dirty masks per
@@ -73,7 +68,7 @@ class BlockEvaluator {
   /// alignment: two workers evaluating different blocks never share a
   /// word of any output bitmap).
   BlockEvaluator(const MatchingFunction& fn, const CandidateSet& pairs,
-                 PairContext& ctx, Memo* memo, MatchState* state,
+                 PairContext& ctx, DenseMemo* memo, MatchState* state,
                  size_t block_size);
 
   size_t block_size() const { return block_size_; }
@@ -111,15 +106,14 @@ class BlockEvaluator {
   };
 
   /// Loads slot `slot`'s column for the block on its first use: one
-  /// sequential read of the dense memo's feature column, probes of any
-  /// other memo, or all lanes absent without one.
+  /// sequential read of the memo's feature column, or all lanes absent
+  /// without one.
   void GatherSlot(uint32_t slot, FeatureId feature, size_t base, size_t nb,
                   Scratch& s) const;
 
   const CandidateSet& pairs_;
   PairContext& ctx_;
-  Memo* memo_;          ///< null = block-local evaluation only
-  DenseMemo* dense_;    ///< memo_ downcast when it is dense (fast path)
+  DenseMemo* memo_;     ///< null = block-local evaluation only
   size_t num_pairs_;
   size_t block_size_;   ///< multiple of 64
   size_t words_;        ///< mask words per block = block_size_ / 64
@@ -155,9 +149,10 @@ class BlockMatcher final : public Matcher {
     /// may be null.
     const CostModel* cost_model = nullptr;
     /// When set, the block scratch (feature columns + masks, one set per
-    /// worker) is reserved from this budget before evaluation; a denied
-    /// reservation yields a clean ResourceExhausted result with zero
-    /// pairs evaluated.
+    /// worker) is reserved from this budget before evaluation. A denied
+    /// reservation drops the context's id caches, if it holds any, and
+    /// retries once; a second denial yields a clean ResourceExhausted
+    /// result with zero pairs evaluated.
     MemoryBudget* budget = nullptr;
     /// Borrowed persistent pool (e.g. the DebugSession's); must outlive
     /// the matcher's runs. Null or one worker = blocks run in the
@@ -181,14 +176,10 @@ class BlockMatcher final : public Matcher {
                   PairContext& ctx, const RunControl& control) override;
 
   /// Runs against a caller-supplied memo whose prior contents are reused
-  /// and which receives every newly computed value (bulk scatter). Over a
-  /// pool of more than one worker the memo must be safe for concurrent
-  /// distinct-row access (DenseMemo, ShardedMemo); a memo that is not
-  /// (HashMemo) yields an InvalidArgument result with zero pairs
-  /// evaluated instead of a data race.
+  /// and which receives every newly computed value (bulk scatter).
   MatchResult RunWithMemo(const MatchingFunction& fn,
                           const CandidateSet& pairs, PairContext& ctx,
-                          Memo& memo,
+                          DenseMemo& memo,
                           const RunControl& control = RunControl());
 
   /// Columnar equivalent of MemoMatcher::RunWithState: reuses `state`'s
@@ -217,7 +208,7 @@ class BlockMatcher final : public Matcher {
 
  private:
   MatchResult RunImpl(const MatchingFunction& fn, const CandidateSet& pairs,
-                      PairContext& ctx, MatchState* state, Memo* memo,
+                      PairContext& ctx, MatchState* state, DenseMemo* memo,
                       const RunControl& control);
 
   Options options_;

@@ -5,7 +5,6 @@
 
 #include "src/core/block_matcher.h"
 #include "src/core/sampler.h"
-#include "src/core/shard_driver.h"
 #include "src/util/csv.h"
 #include "src/util/stopwatch.h"
 #include "src/util/string_util.h"
@@ -202,22 +201,6 @@ IncrementalMatcher::Options DebugSession::IncOptions() {
 }
 
 MatchResult DebugSession::BatchRun(const RunControl& control) {
-  if (options_.sharded) {
-    // Out-of-core: shard-sized memo slices instead of one resident
-    // matrix. keep_state=false — the session only needs the match bits,
-    // so shard state is dropped as each shard completes and no spill
-    // directory is required.
-    ShardedMatchDriver driver(ShardedMatchDriver::Options{
-        .shard_pairs = options_.shard_pairs,
-        .spill_dir = {},
-        .budget = options_.budget,
-        .pool = pool_.get(),
-        .cost_model = model_.get(),
-        .keep_state = false});
-    MatchResult result = driver.Run(fn_, *pairs_, *ctx_, control);
-    if (!result.partial) batch_state_.matches() = result.matches;
-    return result;
-  }
   BlockMatcher matcher(BlockMatcher::Options{.cost_model = model_.get(),
                                              .budget = options_.budget,
                                              .pool = pool_.get()});

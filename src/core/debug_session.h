@@ -58,16 +58,6 @@ class DebugSession {
     /// degrades a cache layer with bit-identical results; it never
     /// aborts. Must outlive the session.
     MemoryBudget* budget = nullptr;
-    /// Out-of-core full runs (non-incremental mode only): stream the
-    /// candidates through the ShardedMatchDriver — shard-sized memo
-    /// slices bounded by `budget` instead of one O(pairs × features)
-    /// matrix (see src/core/shard_driver.h). Match bitmaps are
-    /// bit-identical; the memo is not retained between reruns (bounded
-    /// RAM trades away the Sec. 7.6 precomputation reuse). Ignored in
-    /// incremental mode, which needs the whole memo resident.
-    bool sharded = false;
-    /// Pairs per shard when `sharded`; 0 = derive from `budget`.
-    size_t shard_pairs = 0;
   };
 
   /// Large allocations the session currently holds, by consumer (for
@@ -251,9 +241,9 @@ class DebugSession {
   /// and budget).
   IncrementalMatcher::Options IncOptions();
 
-  /// Non-incremental full run of `fn_` into batch_state_: the sharded
-  /// driver when Options::sharded, one BlockMatcher otherwise (over the
-  /// session's pool when it has one; identical results either way).
+  /// Non-incremental full run of `fn_` into batch_state_: one
+  /// BlockMatcher (over the session's pool when it has one; identical
+  /// results either way).
   MatchResult BatchRun(const RunControl& control);
 
   /// Immutable corpus, possibly shared with other sessions (see the

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/core/feature.h"
-#include "src/util/memory_budget.h"
 #include "src/util/status.h"
 
 namespace emdbg {
@@ -41,15 +40,6 @@ class Memo {
 
   /// Removes all stored values.
   virtual void Clear() = 0;
-
-  /// Thread-safety contract: true if concurrent Store/Lookup/Contains on
-  /// *different pair rows* is safe (a pooled BlockMatcher's access
-  /// pattern — each candidate pair is evaluated by exactly one worker).
-  /// Implementations returning false (HashMemo: a rehash moves every
-  /// bucket) are rejected by a pooled BlockMatcher with a clear Status
-  /// instead of racing; wrap them in a ShardedMemo to share across
-  /// workers.
-  virtual bool SafeForConcurrentRows() const { return false; }
 };
 
 /// Dense pairs x features float matrix with NaN as the "absent" sentinel.
@@ -99,8 +89,6 @@ class DenseMemo final : public Memo {
     return num_pairs_ * cols_.size() * sizeof(float);
   }
   void Clear() override;
-
-  bool SafeForConcurrentRows() const override { return true; }
 
   size_t num_pairs() const { return num_pairs_; }
   size_t num_features() const { return cols_.size(); }
@@ -170,12 +158,10 @@ class DenseMemo final : public Memo {
 };
 
 /// Sparse hash-map memo keyed by (pair, feature). Lower memory at low fill
-/// rates, higher lookup cost — the trade-off discussed in Sec. 7.4.
+/// rates, higher lookup cost — the trade-off discussed in Sec. 7.4. Not
+/// safe for concurrent Store (a rehash moves every bucket).
 class HashMemo final : public Memo {
  public:
-  HashMemo() = default;
-  ~HashMemo() override { ReleaseBilling(); }
-
   bool Lookup(size_t pair_index, FeatureId feature,
               double* value) const override {
     const auto it = map_.find(Key(pair_index, feature));
@@ -184,7 +170,9 @@ class HashMemo final : public Memo {
     return true;
   }
 
-  void Store(size_t pair_index, FeatureId feature, double value) override;
+  void Store(size_t pair_index, FeatureId feature, double value) override {
+    map_[Key(pair_index, feature)] = static_cast<float>(value);
+  }
 
   bool Contains(size_t pair_index, FeatureId feature) const override {
     return map_.count(Key(pair_index, feature)) > 0;
@@ -192,98 +180,15 @@ class HashMemo final : public Memo {
 
   size_t FilledCount() const override { return map_.size(); }
   size_t MemoryBytes() const override;
-  void Clear() override {
-    map_.clear();
-    ReleaseBilling();
-  }
-
-  /// Attaches a memory budget (nullptr detaches and releases billing).
-  /// Growth is billed in chunks as entries accumulate; a denied
-  /// reservation drops the whole map — a memo is a cache, losing it
-  /// costs recomputation, never correctness. The budget must outlive
-  /// the memo.
-  void SetBudget(MemoryBudget* budget);
+  void Clear() override { map_.clear(); }
 
  private:
   static uint64_t Key(size_t pair_index, FeatureId feature) {
     return (static_cast<uint64_t>(pair_index) << 32) |
            static_cast<uint64_t>(feature);
   }
-  void ReleaseBilling();
 
   std::unordered_map<uint64_t, float> map_;
-  MemoryBudget* budget_ = nullptr;
-  size_t billed_bytes_ = 0;
-};
-
-/// Sparse memo safe for concurrent workers: the key space is split into
-/// shards by pair index, each shard a mutex-protected hash map. Pair-row
-/// striping means one worker's pairs always land in the same shards it is
-/// already touching, so lock contention is limited to hash collisions of
-/// the stripe function — in practice near zero for a pooled run's
-/// disjoint-row access pattern. This is the low-fill-rate (Sec. 7.4)
-/// alternative when a dense pairs × features matrix is too large.
-class ShardedMemo final : public Memo {
- public:
-  static constexpr size_t kDefaultShards = 64;
-
-  explicit ShardedMemo(size_t num_shards = kDefaultShards);
-  ~ShardedMemo() override;  // out-of-line: Shard is incomplete here
-
-  bool Lookup(size_t pair_index, FeatureId feature,
-              double* value) const override;
-  void Store(size_t pair_index, FeatureId feature, double value) override;
-  bool Contains(size_t pair_index, FeatureId feature) const override;
-  size_t FilledCount() const override;
-  size_t MemoryBytes() const override;
-  void Clear() override;
-
-  bool SafeForConcurrentRows() const override { return true; }
-
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Attaches a memory budget (nullptr detaches and releases billing).
-  /// Each shard bills its growth in chunks under its own mutex; when a
-  /// reservation is denied, the memo first evicts its coldest shards
-  /// (least-recently-accessed; recomputable cache, so always safe) and
-  /// retries, and if the budget still refuses it drops the overflowing
-  /// shard itself. Stores never fail — they just stop caching. The
-  /// budget must outlive the memo.
-  void SetBudget(MemoryBudget* budget);
-
-  /// Evicts least-recently-accessed shards until at least `want` billed
-  /// bytes are freed or all evictable shards are empty; returns the bytes
-  /// freed. Shards whose lock is currently held (a concurrent Store) are
-  /// skipped, which also makes this safe to call from within a budget
-  /// reclaimer while some worker is mid-Store.
-  size_t EvictColdestShards(size_t want);
-
-  /// Evictions performed by budget pressure (self-evictions + explicit
-  /// EvictColdestShards calls that freed something).
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Shard;
-
-  static uint64_t Key(size_t pair_index, FeatureId feature) {
-    return (static_cast<uint64_t>(pair_index) << 32) |
-           static_cast<uint64_t>(feature);
-  }
-  const Shard& ShardFor(size_t pair_index) const {
-    return *shards_[pair_index & (shards_.size() - 1)];
-  }
-  Shard& ShardFor(size_t pair_index) {
-    return *shards_[pair_index & (shards_.size() - 1)];
-  }
-  /// Current heap estimate of one shard's map (caller holds its mutex).
-  static size_t ShardBytes(const Shard& shard);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  MemoryBudget* budget_ = nullptr;
-  mutable std::atomic<uint64_t> access_clock_{1};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace emdbg

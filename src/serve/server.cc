@@ -626,13 +626,6 @@ void Server::HandleOpen(Connection& conn, std::string_view rest) {
       } else {
         DebugSession::Options so;
         so.num_threads = options_.session_threads;
-        if (options_.session_sharded) {
-          // Out-of-core sessions run in batch mode: sharding needs the
-          // memo non-resident, which rules out incremental maintenance.
-          so.sharded = true;
-          so.shard_pairs = options_.session_shard_pairs;
-          so.incremental = false;
-        }
         auto entry = std::make_unique<SessionEntry>();
         entry->token = token;
         if (budget_ != nullptr) {
@@ -725,8 +718,6 @@ void Server::HandleResume(Connection& conn, std::string_view rest) {
       if (entry != nullptr) {
         DebugSession::Options so;
         so.num_threads = options_.session_threads;
-        // Note: no sharding here — resume is durable-only, and durability
-        // requires incremental sessions, which sharding rules out.
         if (budget_ != nullptr) {
           // Reuse the degraded entry's quota (its billing drained when
           // the old session object was dropped); fresh entries get a

@@ -83,13 +83,6 @@ class Server {
     /// Threads per session's own matching pool (1 = serial; the server's
     /// concurrency normally comes from num_workers across sessions).
     size_t session_threads = 1;
-    /// Out-of-core sessions: full runs stream through the sharded driver
-    /// with shard-sized memo slices bounded by the session quota instead
-    /// of a resident memo (see DebugSession::Options::sharded). Only
-    /// meaningful with non-incremental sessions; bit-identical results.
-    bool session_sharded = false;
-    /// Pairs per shard for sharded sessions (0 = derive from the quota).
-    size_t session_shard_pairs = 0;
     /// Durable sessions checkpoint every N journaled edits.
     size_t checkpoint_every = 16;
     /// Root directory for per-session durability ("<root>/<token>").

@@ -18,14 +18,14 @@ namespace emdbg {
 ///
 /// A root budget caps the whole process (or server); child budgets cap one
 /// tenant each (per-session quotas). Every large consumer — DenseMemo
-/// allocations via MatchState, PairContext id caches, sharded-memo
-/// fills, per-worker matcher scratch — calls Reserve() *before* allocating
+/// allocations via MatchState, PairContext id caches, per-worker block
+/// scratch — calls Reserve() *before* allocating
 /// and Release() when the bytes are freed, so the first sign of pressure
 /// is a clean ResourceExhausted Status instead of the OOM killer.
 ///
 /// Graceful degradation: a budget keeps a registry of *reclaimable*
-/// consumers — caches whose loss costs time, never correctness
-/// (interned-id columns, cold memo shards). When a reservation
+/// consumers — caches whose loss costs time, never correctness (the
+/// server registers idle sessions' interned-id columns). When a reservation
 /// does not fit, Reserve() runs reclaimers in eviction order (lowest
 /// priority class first; least-recently-touched first within a class)
 /// until the request fits or nothing more can be freed. Only then does it
@@ -43,7 +43,8 @@ namespace emdbg {
 class MemoryBudget {
  public:
   /// Eviction order for reclaimer registration: lower classes are evicted
-  /// first (cheapest to rebuild → most expensive).
+  /// first (cheapest to rebuild → most expensive). No consumer registers
+  /// class 1 today.
   static constexpr int kReclaimIdCaches = 0;    // rebuildable from text
   static constexpr int kReclaimMemoShards = 1;  // recomputable similarities
 

@@ -248,6 +248,18 @@ class BlockMatcherTest : public ::testing::Test {
     fn_ = std::make_unique<MatchingFunction>(gen.Generate());
   }
 
+  /// The bytes a run of fn_ in 64-pair blocks reserves for `workers`:
+  /// each worker's scratch and the per-worker state beside it.
+  size_t ScratchReservation(size_t workers) const {
+    struct alignas(64) WorkerState {
+      MatchStats stats;
+      BlockEvaluator::Scratch scratch;
+    };
+    const BlockEvaluator eval(*fn_, ds_->candidates, *ctx_, nullptr, nullptr,
+                              64);
+    return workers * (eval.ScratchBytes() + sizeof(WorkerState));
+  }
+
   std::unique_ptr<GeneratedDataset> ds_;
   std::unique_ptr<FeatureCatalog> catalog_;
   std::unique_ptr<PairContext> ctx_;
@@ -293,6 +305,76 @@ TEST_F(BlockMatcherTest, ScratchBudgetDenialFailsCleanly) {
   EXPECT_EQ(r.pairs_completed, 0u);
   EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(budget.used(), 0u) << "denied run must release everything";
+}
+
+TEST_F(BlockMatcherTest, MemoLessRunUnderABudgetBelowTheMemo) {
+  // The bounded-memory full run: a budget of a twelfth of the pairs ×
+  // features memo holds every worker's block scratch, and nothing else
+  // is reserved. 64-pair blocks keep four workers' scratch inside it.
+  const size_t memo_bytes =
+      ds_->candidates.size() * catalog_->size() * sizeof(float);
+  MemoMatcher cold;
+  const MatchResult want = cold.Run(*fn_, ds_->candidates, *ctx_);
+  ASSERT_FALSE(want.partial);
+
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const size_t workers = p != nullptr ? p->num_workers() : 1;
+    SCOPED_TRACE(std::to_string(workers) + " worker(s)");
+    MemoryBudget budget(memo_bytes / 12, "below-the-memo");
+    BlockMatcher block(BlockMatcher::Options{
+        .block_size = 64, .budget = &budget, .pool = p});
+    const MatchResult got = block.Run(*fn_, ds_->candidates, *ctx_);
+    ASSERT_FALSE(got.partial) << got.status.ToString();
+    EXPECT_EQ(got.matches, want.matches);
+    EXPECT_EQ(got.stats.feature_computations,
+              want.stats.feature_computations);
+    EXPECT_EQ(got.stats.predicate_evaluations,
+              want.stats.predicate_evaluations);
+    EXPECT_GT(budget.peak(), 0u);
+    EXPECT_LE(budget.peak(), ScratchReservation(workers));
+    EXPECT_EQ(budget.used(), 0u);
+  }
+}
+
+TEST_F(BlockMatcherTest, ScratchOutranksTheContextsCachesInOneBudget) {
+  // The context's id caches fill the run's own budget, leaving no room
+  // for the block scratch: the run drops the caches to fit its scratch
+  // instead of refusing, and the features whose columns no longer fit
+  // re-tokenize per call.
+  MemoMatcher cold;
+  const MatchResult want = cold.Run(*fn_, ds_->candidates, *ctx_);
+  size_t cached = 0;
+  {
+    MemoryBudget probe(0, "probe");
+    PairContext measured(ds_->a, ds_->b, *catalog_,
+                         PairContext::Options{.budget = &probe});
+    measured.Prewarm(fn_->UsedFeatures());
+    cached = probe.used();
+  }
+  ASSERT_GT(cached, 0u);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const size_t workers = p != nullptr ? p->num_workers() : 1;
+    SCOPED_TRACE(std::to_string(workers) + " worker(s)");
+    // One byte short of the caches and the scratch together.
+    MemoryBudget budget(cached + ScratchReservation(workers) - 1, "shared");
+    PairContext warm(ds_->a, ds_->b, *catalog_,
+                     PairContext::Options{.budget = &budget});
+    warm.Prewarm(fn_->UsedFeatures());
+    ASSERT_EQ(budget.used(), cached);
+
+    BlockMatcher block(BlockMatcher::Options{
+        .block_size = 64, .budget = &budget, .pool = p});
+    const MatchResult got = block.Run(*fn_, ds_->candidates, warm);
+    ASSERT_FALSE(got.partial) << got.status.ToString();
+    EXPECT_EQ(got.matches, want.matches);
+    EXPECT_EQ(got.stats.feature_computations,
+              want.stats.feature_computations);
+    EXPECT_EQ(got.stats.predicate_evaluations,
+              want.stats.predicate_evaluations);
+    EXPECT_TRUE(warm.id_path_degraded());
+  }
 }
 
 TEST_F(BlockMatcherTest, AutoBlockSizeIsAlignedAndClamped) {

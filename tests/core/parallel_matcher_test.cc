@@ -180,50 +180,6 @@ TEST_F(ParallelMatcherTest, StaticScheduleAgreesWithDynamic) {
             static_sched.Run(fn, ds_.candidates, *ctx_).matches);
 }
 
-TEST_F(ParallelMatcherTest, RejectsHashMemoWhenMultithreaded) {
-  const MatchingFunction fn = Rules(4, 31);
-  HashMemo memo;
-  ThreadPool pool(4);
-  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
-  const MatchResult r = parallel.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
-  EXPECT_TRUE(r.partial);
-  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(r.pairs_completed, 0u);
-  EXPECT_EQ(r.evaluated.Count(), 0u);
-  EXPECT_EQ(memo.FilledCount(), 0u);
-
-  // The same memo is fine on a one-worker pool (no concurrent Store).
-  ThreadPool one_worker(1);
-  BlockMatcher one(BlockMatcher::Options{.pool = &one_worker});
-  const MatchResult ok = one.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
-  EXPECT_FALSE(ok.partial);
-  MemoMatcher serial;
-  EXPECT_EQ(ok.matches, serial.Run(fn, ds_.candidates, *ctx_).matches);
-}
-
-TEST_F(ParallelMatcherTest, ShardedMemoAgreesWithSerialAndReusesValues) {
-  const MatchingFunction fn = Rules(8, 37);
-  MemoMatcher serial;
-  const Bitmap expected = serial.Run(fn, ds_.candidates, *ctx_).matches;
-
-  ShardedMemo memo;
-  ThreadPool pool(4);
-  BlockMatcher parallel(BlockMatcher::Options{.pool = &pool});
-  const MatchResult first =
-      parallel.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
-  ASSERT_FALSE(first.partial) << first.status.ToString();
-  EXPECT_EQ(first.matches, expected);
-  EXPECT_GT(memo.FilledCount(), 0u);
-
-  // Second run over the warm sharded memo: every needed value is already
-  // stored, so no feature is recomputed and the matches are unchanged.
-  const MatchResult second =
-      parallel.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
-  EXPECT_EQ(second.matches, expected);
-  EXPECT_EQ(second.stats.feature_computations, 0u);
-  EXPECT_GT(second.stats.memo_hits, 0u);
-}
-
 TEST_F(ParallelMatcherTest, CancelledRunReportsExactEvaluatedBitmap) {
   // Mid-run cancellation under dynamic block claiming: the partial
   // result's `evaluated` bitmap must name exactly the pairs of the blocks

@@ -8,26 +8,24 @@
 ///   emdbg_match --a=a.csv --b=b.csv --rules=r.rules
 ///               (--pairs=pairs.csv | --block-key=category)
 ///               [--out=matches.csv] [--threads=N] [--deadline-ms=N]
-///               [--shards[=N]] [--spill-dir=DIR] [--mem-budget=BYTES]
+///               [--mem-budget=BYTES]
 ///
 /// The run is columnar block evaluation (one feature across a whole block
 /// of pairs, see src/core/block_matcher.h), with a cost-model-sized block,
 /// in this thread or over a pool of --threads workers (0 = all hardware
 /// threads). Results are bit-identical for every thread count.
 ///
-/// --shards streams the run through the out-of-core sharded driver
-/// (src/core/shard_driver.h): the memo exists one shard at a time, so
-/// candidate sets whose memo footprint exceeds RAM complete inside
-/// --mem-budget. Bare --shards (or =0) derives the shard size from the
-/// budget; =N uses N pairs per shard. --spill-dir keeps each shard's
-/// state on disk for later inspection (default: state is dropped as
-/// shards complete).
+/// No memo is built: each worker holds one block of score columns, so
+/// the run's matching state is the candidate set and the match bitmaps
+/// (O(pairs) bits) plus O(block × features × workers) scratch, never the
+/// O(pairs × features) memo. --mem-budget caps the per-record text caches
+/// and the block scratch. The scratch comes first: the run drops the
+/// caches when they leave no room for it, and a cache the budget refuses
+/// is rebuilt per call with identical results.
 ///
 /// Ctrl-C (SIGINT), SIGTERM, SIGHUP, or an exceeded --deadline-ms stops
 /// the run cleanly: the pairs evaluated so far are still written out,
 /// with a warning that the result is partial.
-
-#include <sys/stat.h>
 
 #include <cstdio>
 #include <memory>
@@ -39,7 +37,6 @@
 #include "src/core/ordering.h"
 #include "src/core/rule_parser.h"
 #include "src/core/sampler.h"
-#include "src/core/shard_driver.h"
 #include "src/data/candidate_io.h"
 #include "src/data/table_io.h"
 #include "src/util/cancellation.h"
@@ -59,11 +56,8 @@ struct Args {
   std::string pairs_path;
   std::string block_key;
   std::string out_path = "matches.csv";
-  std::string spill_dir;
   size_t threads = 1;
   int64_t deadline_ms = 0;  // 0 = no deadline
-  bool sharded = false;
-  size_t shard_pairs = 0;   // 0 = derive from budget
   size_t mem_budget = 0;    // 0 = unbudgeted
 
   /// "1048576", "64K", "16M", "1G" (case-insensitive suffix).
@@ -98,8 +92,6 @@ struct Args {
         out->block_key = arg.substr(12);
       } else if (StartsWith(arg, "--out=")) {
         out->out_path = arg.substr(6);
-      } else if (StartsWith(arg, "--spill-dir=")) {
-        out->spill_dir = arg.substr(12);
       } else if (StartsWith(arg, "--threads=") &&
                  ParseInt64(arg.substr(10), &n) && n >= 0) {
         // 0 = all hardware threads.
@@ -107,12 +99,6 @@ struct Args {
       } else if (StartsWith(arg, "--deadline-ms=") &&
                  ParseInt64(arg.substr(14), &n) && n > 0) {
         out->deadline_ms = n;
-      } else if (arg == "--shards") {
-        out->sharded = true;
-      } else if (StartsWith(arg, "--shards=") &&
-                 ParseInt64(arg.substr(9), &n) && n >= 0) {
-        out->sharded = true;
-        out->shard_pairs = static_cast<size_t>(n);
       } else if (StartsWith(arg, "--mem-budget=")) {
         if (!ParseBytes(std::string_view(arg).substr(13),
                         &out->mem_budget)) {
@@ -137,8 +123,7 @@ int main(int argc, char** argv) {
         stderr,
         "usage: emdbg_match --a=a.csv --b=b.csv --rules=r.rules "
         "(--pairs=p.csv | --block-key=attr) [--out=matches.csv] "
-        "[--threads=N] [--deadline-ms=N] "
-        "[--shards[=N]] [--spill-dir=DIR] [--mem-budget=BYTES]\n");
+        "[--threads=N] [--deadline-ms=N] [--mem-budget=BYTES]\n");
     return 1;
   }
 
@@ -185,13 +170,10 @@ int main(int argc, char** argv) {
     budget = std::make_unique<MemoryBudget>(args.mem_budget, "emdbg_match");
   }
 
-  // The budget governs the O(pairs) matching state — memo shards, spill
-  // buffers, matcher scratch. The per-record text caches stay outside it
-  // (they are O(records) and shared by every engine; DESIGN.md Sec. 12),
-  // so a sharded run's budget is spent on shards, not tokenization.
+  // The budget governs the per-record text caches and the block scratch
+  // (DESIGN.md Sec. 12).
   PairContext ctx(*table_a, *table_b, catalog,
-                  PairContext::Options{
-                      .budget = args.sharded ? nullptr : budget.get()});
+                  PairContext::Options{.budget = budget.get()});
   Rng rng(1);
   const CandidateSet sample = SamplePairs(pairs, 0.01, rng, 100);
   const CostModel model = CostModel::EstimateForFunction(*fn, ctx, sample);
@@ -214,26 +196,9 @@ int main(int argc, char** argv) {
   if (args.threads != 1) pool = std::make_unique<ThreadPool>(args.threads);
 
   Stopwatch timer;
-  MatchResult result;
-  if (args.sharded) {
-    if (!args.spill_dir.empty()) ::mkdir(args.spill_dir.c_str(), 0755);
-    ShardedMatchDriver driver(ShardedMatchDriver::Options{
-        .shard_pairs = args.shard_pairs,
-        .spill_dir = args.spill_dir,
-        .budget = budget.get(),
-        .pool = pool.get(),
-        .cost_model = &model,
-        .keep_state = !args.spill_dir.empty()});
-    result = driver.Run(*fn, pairs, ctx, control);
-    std::printf("sharded: %zu pairs/shard, %zu shards, %.1f MiB spilled\n",
-                driver.shard_pairs(), driver.shards().size(),
-                static_cast<double>(driver.spilled_bytes()) / (1u << 20));
-  } else {
-    BlockMatcher matcher(BlockMatcher::Options{.cost_model = &model,
-                                               .budget = budget.get(),
-                                               .pool = pool.get()});
-    result = matcher.Run(*fn, pairs, ctx, control);
-  }
+  BlockMatcher matcher(BlockMatcher::Options{
+      .cost_model = &model, .budget = budget.get(), .pool = pool.get()});
+  const MatchResult result = matcher.Run(*fn, pairs, ctx, control);
   std::printf("%zu matches in %.1f ms (%s)\n", result.MatchCount(),
               timer.ElapsedMillis(), result.stats.ToString().c_str());
   if (result.partial) {

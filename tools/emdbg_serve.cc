@@ -144,12 +144,6 @@ struct Args {
       } else if (StartsWith(arg, "--session-threads=") &&
                  ParseInt64(arg.substr(18), &n) && n >= 0) {
         out->server.session_threads = static_cast<size_t>(n);
-      } else if (arg == "--sharded") {
-        out->server.session_sharded = true;
-      } else if (StartsWith(arg, "--shard-pairs=") &&
-                 ParseInt64(arg.substr(14), &n) && n >= 0) {
-        out->server.session_sharded = true;
-        out->server.session_shard_pairs = static_cast<size_t>(n);
       } else if (StartsWith(arg, "--max-sessions=") &&
                  ParseInt64(arg.substr(15), &n) && n > 0) {
         out->server.max_sessions = static_cast<size_t>(n);
@@ -219,7 +213,6 @@ int main(int argc, char** argv) {
         stderr,
         "usage: emdbg_serve --dataset=NAME [--scale=F] [--seed=N] "
         "[--port=N] [--workers=N] [--session-threads=N] "
-        "[--sharded] [--shard-pairs=N] "
         "[--max-sessions=N] "
         "[--max-queue=N] [--max-conns=N] [--deadline-ms=N] "
         "[--checkpoint-every=N] [--durability-root=DIR] "
